@@ -361,6 +361,61 @@ let test_vut_guards_scan =
             (Mvc.Vut.earlier_with vut ~row:1025 ~view:"V" (fun e ->
                  e.Mvc.Vut.color = Mvc.Vut.Red))))
 
+(* Size independence of aggregate maintenance: one Group_by view shaped
+   like the dashboard's (Sum, Max and Count by category over
+   sales |><| product) with 1k or 50k sales rows. A run inserts one sale
+   and deletes it again — two source updates, leaving the state where it
+   started. The maintained rule touches one group per update, so its
+   cost must not grow with the sales table; the stateless rule re-scans
+   the whole pre-state input of the view per update. *)
+let groupby_setup ~rows ~maintained =
+  let rng = Sim.Rng.create 7 in
+  let skus = 200 in
+  let sale () =
+    Tuple.ints
+      [ Sim.Rng.int rng skus; Sim.Rng.int rng 10; 1 + Sim.Rng.int rng 10 ]
+  in
+  let db =
+    Database.of_list
+      [ ( "sales",
+          Relation.of_tuples
+            (int_schema [ "sku"; "store"; "qty" ])
+            (List.init rows (fun _ -> sale ())) );
+        ( "product",
+          Relation.of_tuples
+            (int_schema [ "sku"; "cat" ])
+            (List.init skus (fun s -> Tuple.ints [ s; s mod 20 ])) ) ]
+  in
+  let expr =
+    Query.Algebra.(
+      group_by ~keys:[ "cat" ]
+        ~aggregates:
+          [ ("total_qty", Sum "qty"); ("max_qty", Max "qty"); ("n", Count) ]
+        (join (base "sales") (base "product")))
+  in
+  let sale = Tuple.ints [ 7; 3; 10 ] in
+  let post = Database.apply_update db (Update.insert "sales" sale) in
+  let plan = Query.Compiled.compile ~lookup:(Database.schema db) expr in
+  let insert = Query.Delta.of_update (Update.insert "sales" sale)
+  and delete = Query.Delta.of_update (Update.delete "sales" sale) in
+  (* The maintained state is seeded from the pre-state, as a manager
+     seeds it from its initial replica. *)
+  let groups =
+    if maintained then Some (Query.Compiled.groups db plan) else None
+  in
+  fun () ->
+    with_columnar true (fun () ->
+        ignore (Query.Delta.eval_plan ?groups ~pre:db insert plan);
+        ignore (Query.Delta.eval_plan ?groups ~pre:post delete plan))
+
+let groupby_kernel rows maintained =
+  Printf.sprintf "kernel:groupby-delta-%dk/%s" (rows / 1000)
+    (if maintained then "maintained" else "stateless")
+
+let test_groupby_delta rows maintained =
+  Test.make ~name:(groupby_kernel rows maintained)
+    (Staged.stage (groupby_setup ~rows ~maintained))
+
 (* Ablation pairs reported in BENCH_kernel.json: (kernel, slow, fast) —
    naive vs hash for the historical pairs, boxed vs columnar for the
    columnar kernels. *)
@@ -373,7 +428,11 @@ let ablation_pairs =
       "kernel:eval-join-1k/columnar" );
     ("delta-join-10k", "kernel:delta-join-10k/naive", "kernel:delta-join-10k/hash");
     ("eval-join-1k", "kernel:eval-join-1k/naive", "kernel:eval-join-1k/hash");
-    ("vut-next-red-1k", "kernel:vut-next-red-1k/naive", "kernel:vut-next-red-1k/hash") ]
+    ("vut-next-red-1k", "kernel:vut-next-red-1k/naive", "kernel:vut-next-red-1k/hash");
+    ("groupby-delta-1k", groupby_kernel 1000 false, groupby_kernel 1000 true);
+    ( "groupby-delta-50k",
+      groupby_kernel 50_000 false,
+      groupby_kernel 50_000 true ) ]
 
 (* [test_maintain_10k_columnar] leads: its estimate is the
    first_kernel_ns_per_run headline that BENCH_summary.json and the
@@ -386,7 +445,19 @@ let tests =
     test_delta_pushdown_only; test_delta_direct_3way; test_delta_via_aux;
     test_delta_join_10k_hash; test_delta_join_10k_naive;
     test_eval_join_1k_hash; test_eval_join_1k_naive; test_vut_guards_indexed;
-    test_vut_guards_scan; test_oracle; test_system ]
+    test_vut_guards_scan; test_oracle; test_system;
+    test_groupby_delta 1000 true; test_groupby_delta 50_000 true;
+    test_groupby_delta 1000 false; test_groupby_delta 50_000 false ]
+
+(* Maintained per-update cost at 50k sales rows over the cost at 1k:
+   the size-independence figure that [--check-regression] gates. *)
+let groupby_size_ratio estimates =
+  match
+    ( List.assoc_opt (groupby_kernel 50_000 true) estimates,
+      List.assoc_opt (groupby_kernel 1000 true) estimates )
+  with
+  | Some big, Some small when small > 0.0 -> Some (big /. small)
+  | _ -> None
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -440,11 +511,14 @@ let write_json ~path estimates =
     \  \"quick\": %b,\n\
     \  \"headline_kernel\": \"%s\",\n\
     \  \"kernels\": [\n%s\n  ],\n\
-    \  \"ablations\": [\n%s\n  ]\n\
+    \  \"ablations\": [\n%s\n  ]%s\n\
      }\n"
     !quick (json_escape headline)
     (String.concat ",\n" kernels)
-    (String.concat ",\n" ablations);
+    (String.concat ",\n" ablations)
+    (match groupby_size_ratio estimates with
+    | Some r -> Printf.sprintf ",\n  \"groupby_size_ratio\": %.3f" r
+    | None -> "");
   close_out oc
 
 let run () =
@@ -493,5 +567,8 @@ let run () =
   Tables.print ~title:"naive vs hash kernel ablation"
     ~header:[ "kernel"; "naive"; "hash"; "speedup" ]
     speedups;
+  Option.iter
+    (Printf.printf "groupby-delta per-update cost, 50k / 1k rows: %.2fx\n%!")
+    (groupby_size_ratio estimates);
   write_json ~path:"BENCH_kernel.json" estimates;
   Printf.printf "wrote BENCH_kernel.json\n%!"

@@ -26,7 +26,10 @@
    `@shared-smoke` dune alias: sharing on must produce byte-identical
    commits, states and verdicts on both runtimes and across domain
    counts, must cut kernel rows by >= 2x at overlap degree 3, and the
-   refresh path must actually refresh. Exits nonzero on any failure. *)
+   refresh path must actually refresh. On aggregate views, sharing on vs
+   off also compares the stateless Group_by rule (which shared plans
+   keep) against the managers' maintained per-group state. Exits
+   nonzero on any failure. *)
 
 open Relational
 open Whips
@@ -399,6 +402,38 @@ let sharedsmoke () =
            (Parallel_bench.signature pipe_on)
            (Parallel_bench.signature (run_pipe ~shared:true ~domains:d)))
        [ 2; 4 ]);
+  (* Aggregate views: shared plans keep the stateless Group_by rule while
+     unshared managers maintain per-group state, so sharing on vs off
+     compares the two rules trace for trace. *)
+  let aggregate_scens =
+    [ Workload.Scenarios.sales_rollup;
+      Workload.Generator.generate
+        { Workload.Generator.default with
+          seed = 23; n_relations = 4; n_views = 5; n_transactions = 40;
+          initial_tuples = 10; multi_update_prob = 0.3;
+          aggregate_views = true } ]
+  in
+  List.iter
+    (fun (scen : Workload.Scenarios.t) ->
+      List.iter
+        (fun (runtime, merge) ->
+          let run shared =
+            System.run
+              { (System.default scen) with
+                merge_kind = merge;
+                arrival = System.Uniform 0.02;
+                shared_plans = shared;
+                seed = 9 }
+          in
+          let stateless = run true and maintained = run false in
+          check
+            (Printf.sprintf "%s %s: maintained == stateless" scen.name runtime)
+            (Parallel_bench.signatures_equal
+               (Parallel_bench.signature stateless)
+               (Parallel_bench.signature maintained)
+            && System.verdict stateless = System.verdict maintained))
+        [ ("sequential", System.Sequential); ("pipelined", System.Auto) ])
+    aggregate_scens;
   (* Refresh path: entries actually advance in place. *)
   let refresh =
     refresh_point ~refresh:true ~n_reads:40 (refresh_scenario ~rows:400 ~txns:6)

@@ -121,7 +121,8 @@ let git_rev () =
 let catalogue =
   [ ( "BENCH_kernel.json",
       "micro",
-      [ ("ns_per_run", "first_kernel_ns_per_run") ] );
+      [ ("ns_per_run", "first_kernel_ns_per_run");
+        ("groupby_size_ratio", "groupby_size_ratio") ] );
     ( "BENCH_parallel.json",
       "parallel",
       [ ( "speedup_vs_sequential_at_4_domains",
@@ -302,22 +303,46 @@ let run () =
   let all_metrics =
     List.concat_map (fun (_, _, found) -> found) entries
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 history_path in
-  Printf.fprintf oc
-    "{ \"git_rev\": \"%s\", \"quick\": %b%s, \"metrics\": { %s } }\n"
-    (git_rev ())
-    (match headline with Some (_, _, q) -> q | None -> false)
-    (match headline with
-    | Some (name, ns, _) ->
-      Printf.sprintf ", \"headline_kernel\": \"%s\", \"headline_ns\": %.1f"
-        name ns
-    | None -> "")
-    (String.concat ", "
-       (List.map
-          (fun (label, v) -> Printf.sprintf "\"%s\": %g" label v)
-          all_metrics));
-  close_out oc;
-  Printf.printf "appended %s\n%!" history_path;
+  (* A rerun at the same commit and quota adds nothing to the trajectory:
+     skip the row when the last one has the same git_rev and quick flag
+     (earlier rows are left as they are). *)
+  let rev = git_rev ()
+  and quick = match headline with Some (_, _, q) -> q | None -> false in
+  let last_row =
+    if not (Sys.file_exists history_path) then None
+    else
+      List.fold_left
+        (fun acc line -> if String.trim line = "" then acc else Some line)
+        None
+        (String.split_on_char '\n' (read_file history_path))
+  in
+  let duplicate =
+    match last_row with
+    | Some line ->
+      find_string line "git_rev" = Some rev
+      && find_bool line "quick" = Some quick
+    | None -> false
+  in
+  if duplicate then
+    Printf.printf "%s already ends with %s (quick %b): not appended\n%!"
+      history_path rev quick
+  else begin
+    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 history_path in
+    Printf.fprintf oc
+      "{ \"git_rev\": \"%s\", \"quick\": %b%s, \"metrics\": { %s } }\n"
+      rev quick
+      (match headline with
+      | Some (name, ns, _) ->
+        Printf.sprintf ", \"headline_kernel\": \"%s\", \"headline_ns\": %.1f"
+          name ns
+      | None -> "")
+      (String.concat ", "
+         (List.map
+            (fun (label, v) -> Printf.sprintf "\"%s\": %g" label v)
+            all_metrics));
+    close_out oc;
+    Printf.printf "appended %s\n%!" history_path
+  end;
   if !check_regression then begin
     match (headline, previous) with
     | Some (name, ns, _), Some (prev_ns, prev_rev) ->
@@ -338,6 +363,23 @@ let run () =
         name ns
     | None, _ ->
       Printf.printf "regression gate: no kernel headline to check\n%!"
+  end;
+  (* Aggregate maintenance must not grow with the base table: the
+     maintained Group_by delta at 50k rows may cost at most the factor
+     times its cost at 1k rows. An absolute gate (no history needed). *)
+  if !check_regression then begin
+    match List.assoc_opt "groupby_size_ratio" all_metrics with
+    | Some r when r > regression_factor ->
+      Printf.printf
+        "REGRESSION: groupby delta at 50k rows costs %.2fx its cost at 1k \
+         rows (gate: %.1fx)\n\
+         %!"
+        r regression_factor;
+      exit 1
+    | Some r ->
+      Printf.printf "regression gate: groupby size ratio %.2fx (ok)\n%!" r
+    | None ->
+      Printf.printf "regression gate: no groupby size ratio to check\n%!"
   end;
   (* Resilience headline: warehouse-crash recovery time at the default
      checkpoint cadence. Simulated seconds — fully deterministic — so

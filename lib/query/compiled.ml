@@ -18,13 +18,6 @@ type pred =
   | P_or of pred * pred
   | P_not of pred
 
-type agg =
-  | A_count
-  | A_sum of int
-  | A_avg of int
-  | A_min of int
-  | A_max of int
-
 type t = { node : node; schema : Schema.t }
 
 and node =
@@ -43,12 +36,7 @@ and join = {
   right_extra : int array; (* right-side positions of non-shared columns *)
 }
 
-and group = {
-  input : t;
-  key_pos : int array;
-  aggs : agg array;
-  group_by : Algebra.group_by; (* original, for affected-group recompute *)
-}
+and group = { input : t; spec : Group_state.spec }
 
 let schema t = t.schema
 
@@ -122,7 +110,7 @@ let rec compile ~lookup (expr : Algebra.t) =
   | Algebra.Rename (mapping, e) ->
     let child = compile ~lookup e in
     { child with schema = Schema.rename child.schema mapping }
-  | Algebra.Group_by ({ keys; aggregates; input } as group_by) ->
+  | Algebra.Group_by { keys; aggregates; input } ->
     let child = compile ~lookup input in
     let key_attrs =
       List.map (fun k -> (k, Schema.type_of child.schema k)) keys
@@ -139,125 +127,41 @@ let rec compile ~lookup (expr : Algebra.t) =
     in
     let out_schema = Schema.make (key_attrs @ List.map agg_attr aggregates) in
     let agg_of (_, a) =
+      let typed n = Schema.type_of child.schema n in
+      let pos n = Schema.index_of child.schema n in
       match (a : Algebra.aggregate) with
-      | Algebra.Count -> A_count
-      | Algebra.Sum n -> A_sum (Schema.index_of child.schema n)
-      | Algebra.Avg n -> A_avg (Schema.index_of child.schema n)
-      | Algebra.Min n -> A_min (Schema.index_of child.schema n)
-      | Algebra.Max n -> A_max (Schema.index_of child.schema n)
+      | Algebra.Count -> (Group_state.Count, Value.Int_ty)
+      | Algebra.Sum n -> (Group_state.Sum (pos n), typed n)
+      | Algebra.Avg n -> (Group_state.Avg (pos n), typed n)
+      | Algebra.Min n -> (Group_state.Min (pos n), typed n)
+      | Algebra.Max n -> (Group_state.Max (pos n), typed n)
     in
     { node =
         Group_by
           { input = child;
-            key_pos = Schema.positions child.schema keys;
-            aggs = Array.of_list (List.map agg_of aggregates);
-            group_by };
+            spec =
+              Group_state.spec
+                ~key_pos:(Schema.positions child.schema keys)
+                ~aggs:(Array.of_list (List.map agg_of aggregates)) };
       schema = out_schema }
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate kernels (shared with the interpreted reference path).    *)
-
-let add_values a b =
-  match (a, b) with
-  | Value.Null, v | v, Value.Null -> v
-  | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | Value.Float x, Value.Float y -> Value.Float (x +. y)
-  | Value.Int x, Value.Float y | Value.Float y, Value.Int x ->
-    Value.Float (float_of_int x +. y)
-  | (Value.Bool _ | Value.String _), _ | _, (Value.Bool _ | Value.String _) ->
-    raise (Relation.Type_error "sum over non-numeric attribute")
-
-let scale_value n = function
-  | Value.Null -> Value.Null
-  | Value.Int x -> Value.Int (n * x)
-  | Value.Float x -> Value.Float (float_of_int n *. x)
-  | Value.Bool _ | Value.String _ ->
-    raise (Relation.Type_error "sum over non-numeric attribute")
-
-let to_float = function
-  | Value.Int x -> float_of_int x
-  | Value.Float x -> x
-  | Value.Null | Value.Bool _ | Value.String _ ->
-    raise (Relation.Type_error "avg over non-numeric attribute")
+(* Aggregate reference (the interpreted path's group kernel).         *)
 
 let aggregate_group ~input_schema ~group ~key contents =
-  let { Algebra.keys; aggregates; input = _ } = group in
-  let non_null attr f init =
-    Bag.fold
-      (fun tup n acc ->
-        match Tuple.field input_schema tup attr with
-        | Value.Null -> acc
-        | v -> f v n acc)
-      contents init
-  in
-  let compute = function
-    | Algebra.Count -> Value.Int (Bag.cardinal contents)
-    | Algebra.Sum attr ->
-      non_null attr (fun v n acc -> add_values acc (scale_value n v)) Value.Null
-    | Algebra.Avg attr ->
-      let total, count =
-        non_null attr
-          (fun v n (total, count) ->
-            (total +. (float_of_int n *. to_float v), count + n))
-          (0.0, 0)
-      in
-      if count = 0 then Value.Null else Value.Float (total /. float_of_int count)
-    | Algebra.Min attr ->
-      non_null attr
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best < 0 then v else best)
-        Value.Null
-    | Algebra.Max attr ->
-      non_null attr
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best > 0 then v else best)
-        Value.Null
-  in
-  ignore keys;
-  Tuple.concat key
-    (Tuple.of_list (List.map (fun (_, agg) -> compute agg) aggregates))
-
-(* Positional variant used by the compiled plan: no name lookups. *)
-let aggregate_group_pos ~aggs ~key contents =
-  let non_null pos f init =
-    Bag.fold
-      (fun tup n acc ->
-        match Tuple.get tup pos with Value.Null -> acc | v -> f v n acc)
-      contents init
-  in
-  let compute = function
-    | A_count -> Value.Int (Bag.cardinal contents)
-    | A_sum pos ->
-      non_null pos (fun v n acc -> add_values acc (scale_value n v)) Value.Null
-    | A_avg pos ->
-      let total, count =
-        non_null pos
-          (fun v n (total, count) ->
-            (total +. (float_of_int n *. to_float v), count + n))
-          (0.0, 0)
-      in
-      if count = 0 then Value.Null else Value.Float (total /. float_of_int count)
-    | A_min pos ->
-      non_null pos
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best < 0 then v else best)
-        Value.Null
-    | A_max pos ->
-      non_null pos
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best > 0 then v else best)
-        Value.Null
+  let pos = Schema.index_of input_schema in
+  let agg_of = function
+    | Algebra.Count -> Group_state.Count
+    | Algebra.Sum a -> Group_state.Sum (pos a)
+    | Algebra.Avg a -> Group_state.Avg (pos a)
+    | Algebra.Min a -> Group_state.Min (pos a)
+    | Algebra.Max a -> Group_state.Max (pos a)
   in
   Tuple.concat key
-    (Tuple.of_list (Array.to_list (Array.map compute aggs)))
+    (Tuple.of_list
+       (List.map
+          (fun (_, agg) -> Group_state.refold (agg_of agg) contents)
+          group.Algebra.aggregates))
 
 (* ------------------------------------------------------------------ *)
 (* Hash join on counted tuple lists.                                  *)
@@ -428,14 +332,6 @@ let join_col ~exec ~key_left ~key_right ~right_extra l r =
 (* ------------------------------------------------------------------ *)
 (* Full evaluation.                                                   *)
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-
-  let hash = Tuple.hash
-end)
-
 (* Join-bearing plans route through the columnar kernels (conversion
    overhead amortizes over the join work); join-free plans stay on the
    boxed bags, whose Base case is a free pointer read. *)
@@ -462,23 +358,8 @@ let rec eval_bag ?(exec = Parallel.Exec.sequential) db t =
          (Bag.to_counted_list (eval_bag ~exec db left))
          (Bag.to_counted_list (eval_bag ~exec db right)))
   | Union (a, b) -> Bag.union (eval_bag ~exec db a) (eval_bag ~exec db b)
-  | Group_by { input; key_pos; aggs; group_by = _ } ->
-    let contents = eval_bag ~exec db input in
-    let by_key = Tuple_tbl.create 32 in
-    Bag.iter
-      (fun tup n ->
-        let key = Tuple.project_pos key_pos tup in
-        let existing =
-          match Tuple_tbl.find_opt by_key key with
-          | Some bag -> bag
-          | None -> Bag.empty
-        in
-        Tuple_tbl.replace by_key key (Bag.add ~count:n tup existing))
-      contents;
-    Tuple_tbl.fold
-      (fun key members acc ->
-        Bag.add (aggregate_group_pos ~aggs ~key members) acc)
-      by_key Bag.empty
+  | Group_by { input; spec } ->
+    Group_state.rows (Group_state.of_bag spec (eval_bag ~exec db input))
 
 (* Columnar evaluation: selection/projection as int-array scans, joins
    through the columnar hash kernel. Base relations hand out their
@@ -501,6 +382,36 @@ and eval_col ~exec db t =
 
 let eval ?exec db t =
   Relation.with_contents (Relation.create t.schema) (eval_bag ?exec db t)
+
+(* ------------------------------------------------------------------ *)
+(* Maintained aggregate state.                                        *)
+
+(* One Group_state per Group_by node, found by the node's physical
+   identity: a manager compiles its own plan, so the plan's nodes name
+   exactly its own state. *)
+type groups = (group * Group_state.t) list
+
+let groups ?exec db t =
+  let rec collect acc t =
+    match t.node with
+    | Base _ -> acc
+    | Select (_, e) | Project (_, e) -> collect acc e
+    | Join { left; right; _ } -> collect (collect acc left) right
+    | Union (a, b) -> collect (collect acc a) b
+    | Group_by ({ input; spec } as g) ->
+      collect
+        ((g, Group_state.of_bag spec (eval_bag ?exec db input)) :: acc)
+        input
+  in
+  List.rev (collect [] t)
+
+let no_groups = []
+
+let groups_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (g, s) (h, u) -> g == h && Group_state.equal s u)
+       a b
 
 (* ------------------------------------------------------------------ *)
 (* Incremental delta rules over compiled plans.                       *)
@@ -560,19 +471,20 @@ let probe_left_index ?filter ~index ~key_right ~right_extra db_l =
         acc)
     [] db_l
 
-let rec delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
-    ?(pre_relation = no_pre_relation) ~changes ~eval_pre t =
+let rec delta ?(exec = Parallel.Exec.sequential) ?(groups = [])
+    ?(pre_index = no_pre_index) ?(pre_relation = no_pre_relation) ~changes
+    ~eval_pre t =
   match t.node with
   | Base name -> changes name
   | Select (pred, e) ->
     Signed_bag.filter (eval_pred pred)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre e)
+      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre e)
   | Project (positions, e) ->
     Signed_bag.map (Tuple.project_pos positions)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre e)
+      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre e)
   | Join { left; right; key_left; key_right; right_extra } ->
-    let da = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre left
-    and db_ = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre right in
+    let sub = delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre in
+    let da = sub left and db_ = sub right in
     if Signed_bag.is_zero da && Signed_bag.is_zero db_ then Signed_bag.zero
     else begin
       let join = join_counted_pos ~exec ~key_left ~key_right ~right_extra in
@@ -621,59 +533,24 @@ let rec delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
     end
   | Union (a, b) ->
     Signed_bag.sum
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre a)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre b)
-  | Group_by { input; key_pos; aggs; group_by = _ } ->
-    let d_in = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre input in
+      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre a)
+      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre b)
+  | Group_by ({ input; spec } as g) ->
+    let d_in =
+      delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre input
+    in
     if Signed_bag.is_zero d_in then Signed_bag.zero
     else begin
-      let key_of tup = Tuple.project_pos key_pos tup in
-      (* Recompute exactly the affected groups: retract the old output row
-         of each touched key, emit the new one. Exact for every aggregate
-         kind, including Min/Max under deletions. *)
-      let affected = Tuple_tbl.create 16 in
-      Signed_bag.fold
-        (fun tup _ () -> Tuple_tbl.replace affected (key_of tup) ())
-        d_in ();
-      let pre_in = eval_pre input in
-      let groups_of bag =
-        let table = Tuple_tbl.create 16 in
-        Bag.iter
-          (fun tup n ->
-            let key = key_of tup in
-            if Tuple_tbl.mem affected key then begin
-              let existing =
-                match Tuple_tbl.find_opt table key with
-                | Some b -> b
-                | None -> Bag.empty
-              in
-              Tuple_tbl.replace table key (Bag.add ~count:n tup existing)
-            end)
-          bag;
-        table
+      (* The maintained state when the caller owns one for this node;
+         otherwise a transient one holding just the touched groups, from
+         one scan of the pre-state input. Either way the same step emits
+         the rows. *)
+      let state =
+        match List.assq_opt g groups with
+        | Some state -> state
+        | None -> Group_state.seed spec ~affected:d_in (eval_pre input)
       in
-      let old_groups = groups_of pre_in in
-      let post_in = Signed_bag.apply d_in pre_in in
-      let new_groups = groups_of post_in in
-      Tuple_tbl.fold
-        (fun key () acc ->
-          let members_in table =
-            match Tuple_tbl.find_opt table key with
-            | Some b -> b
-            | None -> Bag.empty
-          in
-          let old_members = members_in old_groups
-          and new_members = members_in new_groups in
-          let acc =
-            if Bag.is_empty old_members then acc
-            else
-              Signed_bag.add
-                (aggregate_group_pos ~aggs ~key old_members)
-                (-1) acc
-          in
-          if Bag.is_empty new_members then acc
-          else Signed_bag.add (aggregate_group_pos ~aggs ~key new_members) 1 acc)
-        affected Signed_bag.zero
+      Group_state.step ~pre_input:(fun () -> eval_pre input) state d_in
     end
 
 (* ------------------------------------------------------------------ *)

@@ -52,8 +52,24 @@ val eval_bag : ?exec:Parallel.Exec.t -> Database.t -> t -> Bag.t
     With a pooled [exec], large joins run sharded (see
     {!join_counted_pos}); results are identical. *)
 
+type groups
+(** The maintained aggregate state of a plan: one {!Group_state.t} per
+    [Group_by] node. Mutable, owned by one caller at a time — a view
+    manager keeps it beside the replica it advances in order. *)
+
+val groups : ?exec:Parallel.Exec.t -> Database.t -> t -> groups
+(** Seed the state of every [Group_by] node from a database state (each
+    node's input evaluated once). Empty for a plan without [Group_by]. *)
+
+val no_groups : groups
+(** The state of a plan kept stateless. *)
+
+val groups_equal : groups -> groups -> bool
+(** Same nodes, each with {!Group_state.equal} state. *)
+
 val delta :
   ?exec:Parallel.Exec.t ->
+  ?groups:groups ->
   ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   ?pre_relation:(string -> Relation.t option) ->
   changes:(string -> Signed_bag.t) ->
@@ -66,6 +82,14 @@ val delta :
     hash joins on the plan's precomputed key positions, and a rule's
     pre-state side is only evaluated when the matching delta side is
     non-empty.
+
+    [groups], when it was seeded for this plan and advanced through
+    exactly the deltas up to the pre-state [eval_pre] reads, makes each
+    [Group_by] rule O(|input delta| + touched groups): {!Group_state.step}
+    reads and updates only the touched groups, and the call advances the
+    state to the post-state. Without it, each [Group_by] rule seeds a
+    transient state for just the touched groups from one scan of its
+    pre-state input and runs the same step.
 
     [pre_index name ~key_pos], when it returns a hash index over [name]'s
     pre-state keyed at [key_pos], turns the join rules whose pre-state
@@ -108,7 +132,7 @@ val join_counted_pos :
     tuples as the sequential join (list order differs; all callers
     normalize through [Bag]/[Signed_bag]). *)
 
-(** {2 Aggregate kernels} *)
+(** {2 Aggregate reference} *)
 
 val aggregate_group :
   input_schema:Schema.t ->
@@ -118,8 +142,5 @@ val aggregate_group :
   Tuple.t
 (** [aggregate_group ~input_schema ~group ~key contents] computes the
     output row of one group: the key values followed by each aggregate
-    evaluated over [contents] (multiplicities respected). [Null]s are
-    skipped by Sum/Avg/Min/Max and counted by Count; an all-null group
-    yields [Null] for that aggregate. Shared by full evaluation and
-    incremental maintenance, which recomputes exactly the affected
-    groups. *)
+    refolded over [contents] ({!Group_state.refold}). The interpreted
+    reference paths ({!Eval}'s and {!Delta}'s [~naive:true]) use it. *)

@@ -140,8 +140,9 @@ let rec eval_naive ~pre changes expr =
         affected Signed_bag.zero
     end
 
-let eval_plan ?(exec = Parallel.Exec.sequential) ?pre_index ~pre changes plan =
-  Compiled.delta ~exec ?pre_index
+let eval_plan ?(exec = Parallel.Exec.sequential) ?groups ?pre_index ~pre changes
+    plan =
+  Compiled.delta ~exec ?groups ?pre_index
     ~pre_relation:(fun name -> Database.find_opt pre name)
     ~changes:(fun name ->
       let _ = Database.find pre name in

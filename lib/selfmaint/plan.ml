@@ -84,8 +84,10 @@ let project t changes =
            | None -> Some (a.relation, raw))
        t.auxes)
 
-let delta ?exec t ~pre changes =
-  Query.Delta.eval_plan ?exec ~pre changes t.compiled
+let groups ?exec t cache = Query.Compiled.groups ?exec cache t.compiled
+
+let delta ?exec ?groups t ~pre changes =
+  Query.Delta.eval_plan ?exec ?groups ~pre changes t.compiled
 
 let advance _t cache changes =
   List.fold_left

@@ -30,8 +30,13 @@ val project : t -> Query.Delta.changes -> Query.Delta.changes
     relations and project each one onto its live attributes — the only
     transformation between the update stream and the local probe. *)
 
+val groups : ?exec:Parallel.Exec.t -> t -> Database.t -> Query.Compiled.groups
+(** Seed the view's maintained aggregate state from an auxiliary state
+    (see {!Query.Compiled.groups}). *)
+
 val delta :
   ?exec:Parallel.Exec.t ->
+  ?groups:Query.Compiled.groups ->
   t ->
   pre:Database.t ->
   Query.Delta.changes ->
@@ -39,7 +44,8 @@ val delta :
 (** The view's maintenance delta, computed entirely from the auxiliary
     pre-state and the (already {!project}ed) changes — no source
     access. Equals {!Query.Delta} over the full base data (see
-    {!Derive}). *)
+    {!Derive}). [groups], seeded by {!groups} and advanced through every
+    earlier delta, is advanced to the post-state. *)
 
 val advance : t -> Database.t -> Query.Delta.changes -> Database.t
 (** Apply (already {!project}ed) changes to the auxiliary state. *)

@@ -5,6 +5,7 @@ type state = {
   compute_latency : batch:int -> float;
   exec : Parallel.Exec.t;
   plan : Plan.t;
+  groups : Query.Compiled.groups; (* aggregate state, advanced with [cache] *)
   emit : Query.Action_list.t -> unit;
   on_apply : Update.Transaction.t -> Database.t -> unit;
   queue : Update.Transaction.t Queue.t;
@@ -24,7 +25,9 @@ let rec pump st =
     let pre = st.cache in
     let fut =
       Parallel.Exec.spawn st.exec (fun () ->
-          let delta = Plan.delta ~exec:st.exec st.plan ~pre changes in
+          let delta =
+            Plan.delta ~exec:st.exec ~groups:st.groups st.plan ~pre changes
+          in
           Query.Action_list.delta
             ~view:(Query.View.name (Plan.view st.plan))
             ~state:txn.Update.Transaction.id delta)
@@ -50,7 +53,8 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential) ?state
       (plan, Plan.initial_cache plan)
   in
   let st =
-    { engine; compute_latency; exec; plan; emit; on_apply;
+    { engine; compute_latency; exec; plan;
+      groups = Plan.groups ~exec plan cache; emit; on_apply;
       queue = Queue.create (); cache; busy = false }
   in
   { Viewmgr.Vm.view; level = Viewmgr.Vm.Complete;

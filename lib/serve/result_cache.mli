@@ -43,6 +43,7 @@ val note_change : t -> view:string -> version:int -> unit
     nondecreasing order per view (they come from the commit sequence). *)
 
 val commit :
+  ?wt:Warehouse.Wt.t ->
   t ->
   version:int ->
   changed:string list ->
@@ -59,7 +60,13 @@ val commit :
     compiled delta plan — exact, so a refreshed hit is bit-for-bit a
     recompute — unless the summed delta width exceeds the cached
     result's cardinality, in which case the entry is simply left to
-    invalidation (counted in [refresh_fallbacks]). *)
+    invalidation (counted in [refresh_fallbacks]).
+
+    [wt], the committed warehouse transaction, bounds each view's delta
+    to the tuples its action lists touch (after - before counts of just
+    those), instead of diffing the view's whole before and after
+    contents; a view written by a refresh action list is still
+    diffed whole. *)
 
 val find : t -> version:int -> Query.Algebra.t -> Bag.t option
 (** A valid cached result for the query at the version, if any. *)

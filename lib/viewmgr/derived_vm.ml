@@ -4,9 +4,11 @@ type state = {
   engine : Sim.Engine.t;
   compute_latency : batch:int -> float;
   aux : Query.View.t list;
-  aux_plans : (string * Query.Compiled.t) list; (* per aux view, compiled *)
+  aux_plans : (string * Query.Compiled.t * Query.Compiled.groups) list;
+      (* per aux view: compiled, with its aggregate state *)
   view : Query.View.t;
   over_aux_plan : Query.Compiled.t;
+  over_aux_groups : Query.Compiled.groups;
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable base_cache : Database.t; (* base relations the aux views need *)
@@ -23,14 +25,17 @@ let rec pump st =
     let aux_changes =
       Query.Delta.changes_of_list
         (List.map
-           (fun (name, plan) ->
-             (name, Query.Delta.eval_plan ~pre:st.base_cache base_changes plan))
+           (fun (name, plan, groups) ->
+             ( name,
+               Query.Delta.eval_plan ~groups ~pre:st.base_cache base_changes
+                 plan ))
            st.aux_plans)
     in
     (* Level 2: the primary view's delta over the materialized
        auxiliaries. *)
     let delta =
-      Query.Delta.eval_plan ~pre:st.aux_cache aux_changes st.over_aux_plan
+      Query.Delta.eval_plan ~groups:st.over_aux_groups ~pre:st.aux_cache
+        aux_changes st.over_aux_plan
     in
     st.base_cache <- Database.apply_relevant st.base_cache txn;
     st.aux_cache <-
@@ -76,16 +81,19 @@ let create ~engine ~compute_latency ~initial ~aux ~view ~over_aux ~emit () =
   let aux_plans =
     List.map
       (fun a ->
-        ( Query.View.name a,
+        let plan =
           Query.Compiled.compile ~lookup:(Database.schema base_cache)
-            a.Query.View.def ))
+            a.Query.View.def
+        in
+        (Query.View.name a, plan, Query.Compiled.groups base_cache plan))
       aux
   in
   let over_aux_plan =
     Query.Compiled.compile ~lookup:(Database.schema aux_cache) over_aux
   in
   let st =
-    { engine; compute_latency; aux; aux_plans; view; over_aux_plan; emit;
+    { engine; compute_latency; aux; aux_plans; view; over_aux_plan;
+      over_aux_groups = Query.Compiled.groups aux_cache over_aux_plan; emit;
       queue = Queue.create (); base_cache; aux_cache; busy = false }
   in
   { Vm.view; level = Vm.Complete;

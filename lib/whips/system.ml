@@ -441,8 +441,9 @@ let setup_serving engine ~rng ~sample ~metrics ~store ~views ~log cfg =
       (match cache with
       | Some c ->
         if rp.cache_refresh then
-          Serve.Result_cache.commit c ~version:v.Serve.Version_manager.index
-            ~changed ~pre:!last_state ~post
+          Serve.Result_cache.commit ~wt c
+            ~version:v.Serve.Version_manager.index ~changed ~pre:!last_state
+            ~post
         else
           List.iter
             (fun view ->
@@ -484,7 +485,7 @@ let setup_serving engine ~rng ~sample ~metrics ~store ~views ~log cfg =
           (match cache with
           | Some rc ->
             if rp.cache_refresh then
-              Serve.Result_cache.commit rc
+              Serve.Result_cache.commit ~wt:c.transaction rc
                 ~version:v.Serve.Version_manager.index ~changed
                 ~pre:!last_state ~post:c.Warehouse.Store.state
             else
@@ -589,6 +590,22 @@ let run_sequential cfg =
   let serving =
     setup_serving engine ~rng ~sample ~metrics ~store ~views ~log:ignore cfg
   in
+  (* Without shared plans, each view is compiled once and keeps its
+     aggregate state, advanced with [cache]. *)
+  let plans =
+    match shared with
+    | Some _ -> []
+    | None ->
+      List.map
+        (fun v ->
+          let plan =
+            Query.Compiled.compile ~lookup:(Database.schema initial_db)
+              v.Query.View.def
+          in
+          ( Query.View.name v,
+            (plan, Query.Compiled.groups ~exec initial_db plan) ))
+        views
+  in
   let arrival_times = Hashtbl.create 64 in
   let queue = Queue.create () in
   let busy = ref false in
@@ -633,8 +650,9 @@ let run_sequential cfg =
         | None ->
           Parallel.Exec.map exec
             (fun v ->
+              let plan, groups = List.assoc (Query.View.name v) plans in
               let delta =
-                Query.Delta.eval ~exec ~pre changes v.Query.View.def
+                Query.Delta.eval_plan ~exec ~groups ~pre changes plan
               in
               Query.Action_list.delta ~view:(Query.View.name v)
                 ~state:txn.Update.Transaction.id delta)
@@ -1792,6 +1810,11 @@ let run_pipelined cfg =
                      | None -> (Selfmaint.Plan.initial_cache plan, 0)
                    in
                    let cache = ref start_cache in
+                   (* The aggregate state is seeded from the cache when
+                      the first replayed delta forces it. *)
+                   let groups =
+                     lazy (Selfmaint.Plan.groups ~exec plan !cache)
+                   in
                    let replayed = ref [] in
                    List.iter
                      (fun ((txn : Update.Transaction.t), _rel) ->
@@ -1802,7 +1825,8 @@ let run_pipelined cfg =
                          in
                          if txn.Update.Transaction.id > w then begin
                            let delta =
-                             Selfmaint.Plan.delta ~exec plan ~pre:!cache
+                             Selfmaint.Plan.delta ~exec
+                               ~groups:(Lazy.force groups) plan ~pre:!cache
                                changes
                            in
                            replayed :=
@@ -1827,13 +1851,17 @@ let run_pipelined cfg =
                        view.Query.View.def
                    in
                    let cache = ref base in
+                   let groups =
+                     lazy (Query.Compiled.groups ~exec !cache vplan)
+                   in
                    let replayed = ref [] in
                    List.iter
                      (fun (txn, _rel) ->
                        let changes = Query.Delta.of_transaction txn in
                        if txn.Update.Transaction.id > w then begin
                          let delta =
-                           Query.Delta.eval_plan ~exec ~pre:!cache changes
+                           Query.Delta.eval_plan ~exec
+                             ~groups:(Lazy.force groups) ~pre:!cache changes
                              vplan
                          in
                          let al =

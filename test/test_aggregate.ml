@@ -3,6 +3,8 @@ open Query
 
 let case = Helpers.case
 
+let ints = Helpers.ints
+
 let sales = Helpers.int_schema [ "sku"; "store"; "qty" ]
 
 let db rows = Database.of_list [ ("sales", Helpers.rel sales rows) ]
@@ -13,6 +15,120 @@ let by_store aggregates =
   Algebra.group_by ~keys:[ "store" ] ~aggregates (Algebra.base "sales")
 
 let eval rows e = Relation.contents (Eval.eval (db rows) e)
+
+(* ---- Maintained per-group state vs the interpreted oracle ---- *)
+
+(* F(k, i, x): a group key, an Int and a Float measure, both nullable.
+   D(k, c) maps keys to a second grouping column for the join view. *)
+let fact =
+  Schema.make [ ("k", Value.Int_ty); ("i", Value.Int_ty); ("x", Value.Float_ty) ]
+
+let dim = Helpers.int_schema [ "k"; "c" ]
+
+let all_aggregates =
+  [ ("n", Algebra.Count); ("si", Algebra.Sum "i"); ("ai", Algebra.Avg "i");
+    ("mi", Algebra.Min "i"); ("xi", Algebra.Max "i"); ("sx", Algebra.Sum "x");
+    ("ax", Algebra.Avg "x"); ("mx", Algebra.Min "x"); ("xx", Algebra.Max "x") ]
+
+let maintained_views =
+  [ ("over a base", Algebra.group_by ~keys:[ "k" ] ~aggregates:all_aggregates
+                      (Algebra.base "F"));
+    ( "over a select",
+      Algebra.group_by ~keys:[ "k" ] ~aggregates:all_aggregates
+        (Algebra.select (Pred.ge "i" (Value.Int (-1))) (Algebra.base "F")) );
+    ( "over a join",
+      Algebra.group_by ~keys:[ "c" ] ~aggregates:all_aggregates
+        Algebra.(join (base "F") (base "D")) ) ]
+
+(* Small value pools: few keys, so groups empty out and reappear and the
+   current extreme is often deleted; floats whose sums depend on the
+   addition order; and an Int past 2^53 whose float sum with 1 rounds
+   differently from the exact integer sum, which an Avg group only gets
+   right by going wide. *)
+let random_fact rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  Tuple.of_list
+    [ Value.Int (Random.State.int rng 3);
+      pick
+        [| Value.Null; Value.Int (-3); Value.Int 0; Value.Int 1; Value.Int 5;
+           Value.Int 7; Value.Int ((1 lsl 53) + 1) |];
+      pick
+        [| Value.Null; Value.Float 0.1; Value.Float 0.2; Value.Float 0.3;
+           Value.Float 1e16; Value.Float (-1e16); Value.Float 2.5 |] ]
+
+(* One transaction against [db]: inserts, and deletes or modifies of
+   live rows only, so every delta is exact. *)
+let random_txn rng ~id db =
+  let rec go db n acc =
+    if n = 0 then (List.rev acc, db)
+    else
+      let live = Bag.to_list (Relation.contents (Database.find db "F")) in
+      let u =
+        match (Random.State.int rng 3, live) with
+        | 0, _ | _, [] ->
+          if Random.State.int rng 5 = 0 then
+            Update.insert "D"
+              (Tuple.ints [ Random.State.int rng 3; Random.State.int rng 2 ])
+          else Update.insert "F" (random_fact rng)
+        | 1, _ ->
+          Update.delete "F"
+            (List.nth live (Random.State.int rng (List.length live)))
+        | _, _ ->
+          Update.modify "F"
+            ~before:(List.nth live (Random.State.int rng (List.length live)))
+            ~after:(random_fact rng)
+      in
+      go (Database.apply_update db u) (n - 1) (u :: acc)
+  in
+  let updates, db = go db (1 + Random.State.int rng 3) [] in
+  (Update.Transaction.make ~id ~source:"s" updates, db)
+
+let initial_db rng =
+  Database.of_list
+    [ ( "F",
+        Relation.of_tuples fact
+          (List.init (Random.State.int rng 8) (fun _ -> random_fact rng)) );
+      ("D", Helpers.rel dim [ [ 0; 0 ]; [ 1; 1 ]; [ 2; 0 ] ]) ]
+
+(* Run a random sequence of batches (1 to 3 transactions each, applied
+   as one combined delta like Batching_vm) through a maintained state:
+   every delta must equal the oracle's and the stateless rule's, and
+   after every step the state must equal one built fresh from the
+   post-state. *)
+let maintained_matches_oracle seed =
+  let rng = Random.State.make [| seed |] in
+  let db0 = initial_db rng in
+  let _, expr = List.nth maintained_views (seed mod 3) in
+  let plan = Compiled.compile ~lookup:(Database.schema db0) expr in
+  let groups = Compiled.groups db0 plan in
+  let rec loop db step =
+    step > 8
+    ||
+    let rec batch db k acc =
+      if k = 0 then (List.rev acc, db)
+      else
+        let txn, db = random_txn rng ~id:((step * 10) + k) db in
+        batch db (k - 1) (txn :: acc)
+    in
+    let txns, post = batch db (1 + Random.State.int rng 3) [] in
+    let changes = Delta.of_transactions txns in
+    let oracle = Delta.eval ~naive:true ~pre:db changes expr in
+    let stateless = Delta.eval_plan ~pre:db changes plan in
+    let maintained = Delta.eval_plan ~groups ~pre:db changes plan in
+    Signed_bag.equal maintained oracle
+    && Signed_bag.equal stateless oracle
+    && Compiled.groups_equal groups (Compiled.groups post plan)
+    && loop post (step + 1)
+  in
+  loop db0 1
+
+let group_state_of rows =
+  let spec =
+    Group_state.spec ~key_pos:[| 0 |]
+      ~aggs:
+        [| (Group_state.Min 1, Value.Int_ty); (Group_state.Max 1, Value.Int_ty) |]
+  in
+  (spec, Group_state.of_bag spec (Helpers.bag_of rows))
 
 let tests =
   [ case "schema of group_by" (fun () ->
@@ -211,4 +327,66 @@ let tests =
               seed = 9 }
         in
         let v = Whips.System.verdict result in
-        Alcotest.(check bool) "strong" true v.strongly_consistent) ]
+        Alcotest.(check bool) "strong" true v.strongly_consistent);
+    Helpers.qcheck ~count:300
+      "maintained group state == oracle over random txn sequences"
+      QCheck2.Gen.(int_bound 1_000_000)
+      maintained_matches_oracle;
+    case "group state: deleting the current max surfaces the next" (fun () ->
+        let _, st = group_state_of [ [ 1; 4 ]; [ 1; 9 ]; [ 1; 9 ]; [ 1; 2 ] ] in
+        let d1 =
+          Group_state.step st (Signed_bag.singleton (ints [ 1; 9 ]) (-1))
+        in
+        Alcotest.check Helpers.signed_bag "one copy of 9 left: unchanged"
+          Signed_bag.zero d1;
+        let d2 =
+          Group_state.step st (Signed_bag.singleton (ints [ 1; 9 ]) (-1))
+        in
+        Alcotest.check Helpers.signed_bag "max falls to 4"
+          (Signed_bag.of_list
+             [ (Helpers.ints [ 1; 2; 9 ], -1); (Helpers.ints [ 1; 2; 4 ], 1) ])
+          d2);
+    case "group state: a group empties out and reappears" (fun () ->
+        let spec, st = group_state_of [ [ 1; 4 ]; [ 2; 6 ] ] in
+        let d1 =
+          Group_state.step st (Signed_bag.singleton (ints [ 1; 4 ]) (-1))
+        in
+        Alcotest.check Helpers.signed_bag "retracted"
+          (Signed_bag.singleton (Helpers.ints [ 1; 4; 4 ]) (-1)) d1;
+        Alcotest.(check int) "one group left" 1 (Group_state.group_count st);
+        let d2 =
+          Group_state.step st (Signed_bag.singleton (Helpers.ints [ 1; 8 ]) 1)
+        in
+        Alcotest.check Helpers.signed_bag "reinserted"
+          (Signed_bag.singleton (Helpers.ints [ 1; 8; 8 ]) 1) d2;
+        Alcotest.(check bool) "equals a fresh state" true
+          (Group_state.equal st
+             (Group_state.of_bag spec (Helpers.bag_of [ [ 1; 8 ]; [ 2; 6 ] ]))));
+    case "group state: a wide Avg fetches members from the pre-state once"
+      (fun () ->
+        let avg = Group_state.Avg 1 in
+        let spec =
+          Group_state.spec ~key_pos:[| 0 |] ~aggs:[| (avg, Value.Int_ty) |]
+        in
+        let row members =
+          Tuple.of_list [ Value.Int 1; Group_state.refold avg members ]
+        in
+        let pre = Helpers.bag_of [ [ 1; 1 ]; [ 1; 5 ] ] in
+        let st = Group_state.of_bag spec pre in
+        (* float (2^53 + 1) rounds to 2^53, so the fold's total is
+           2^53 + 6, while the exact sum 2^53 + 7 rounds to 2^53 + 8. *)
+        let big = Helpers.ints [ 1; (1 lsl 53) + 1 ] in
+        let post = Bag.add big pre in
+        let scans = ref 0 in
+        let scan bag () = incr scans; bag in
+        let d =
+          Group_state.step ~pre_input:(scan pre) st (Signed_bag.singleton big 1)
+        in
+        Alcotest.(check int) "one scan" 1 !scans;
+        Alcotest.check Helpers.signed_bag "refolded like a recompute"
+          (Signed_bag.of_list [ (row pre, -1); (row post, 1) ])
+          d;
+        ignore
+          (Group_state.step ~pre_input:(scan post) st
+             (Signed_bag.singleton (Helpers.ints [ 1; 5 ]) (-1)));
+        Alcotest.(check int) "members kept: no second scan" 1 !scans) ]

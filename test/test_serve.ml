@@ -247,6 +247,38 @@ let result_cache_tests =
            sits at version 2, so a read pinned before the commit misses. *)
         Alcotest.(check bool) "pre-commit reads now miss" true
           (Cache.find c ~version:1 q = None));
+    case "commit with the WT diffs only touched tuples, same refresh"
+      (fun () ->
+        let q2 = Algebra.select (Pred.le "x" (Value.Int 1)) (Algebra.base "V") in
+        let run wt =
+          let c = Cache.create () in
+          Cache.store c ~version:1 ~support:[ "V" ] q (bag_v 3);
+          Cache.store c ~version:1 ~support:[ "V" ] q2
+            (Helpers.bag_of [ [ 0 ]; [ 1 ] ]);
+          Cache.commit ?wt c ~version:2 ~changed:[ "V" ] ~pre:(db 3)
+            ~post:(db 4);
+          (Cache.find c ~version:2 q, Cache.find c ~version:2 q2,
+           (Cache.stats c).Cache.refreshed)
+        in
+        (* db 3 -> db 4 inserts [3]; the WT also carries a cancelled pair
+           on [0], a touched tuple whose count does not change. *)
+        let wt =
+          Warehouse.Wt.make ~rows:[ 2 ]
+            [ Query.Action_list.delta ~view:"V" ~state:2
+                (Signed_bag.of_list [ (Helpers.ints [ 3 ], 1) ]);
+              Query.Action_list.delta ~view:"V" ~state:2
+                (Signed_bag.of_list
+                   [ (Helpers.ints [ 0 ], -1) ]);
+              Query.Action_list.delta ~view:"V" ~state:2
+                (Signed_bag.of_list [ (Helpers.ints [ 0 ], 1) ]) ]
+        in
+        let opt = Alcotest.option Helpers.bag in
+        let a1, b1, n1 = run None and a2, b2, n2 = run (Some wt) in
+        Alcotest.check opt "full-scan entry" (Some (bag_v 4)) a1;
+        Alcotest.check opt "same refreshed entry" a1 a2;
+        Alcotest.check opt "same filtered entry" b1 b2;
+        Alcotest.(check int) "both refreshed both ways" 2 n1;
+        Alcotest.(check int) "refresh count equal" n1 n2);
     case "refresh falls back when the delta outweighs the cached result"
       (fun () ->
         let c = Cache.create () in
