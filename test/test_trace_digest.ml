@@ -9,7 +9,13 @@
    they pin the maintained per-group state to byte-identical traces —
    under complete, batching, self-maintaining, complete-N and
    convergent managers and the sequential strawman, at 1 and 4
-   domains. *)
+   domains.
+
+   A second set pins a chain-join workload (3-way join views, no
+   Group_by) under complete, batching, complete-2, convergent, derived
+   and self-maintaining managers. Those digests were recorded while every
+   join delta still re-evaluated its pre-state sides, so they pin the
+   maintained join-side indexes to byte-identical traces. *)
 
 open Relational
 
@@ -41,11 +47,12 @@ let generated =
       multi_update_prob = 0.3;
       aggregate_views = true }
 
-let run ~vm ~domains scen =
+let run ?(vm_overrides = []) ~vm ~domains scen =
   let merge_kind, vm_kind = vm in
   Whips.System.run
     { (Whips.System.default scen) with
       vm_kind;
+      vm_overrides;
       merge_kind;
       arrival = Whips.System.Poisson 120.0;
       parallel =
@@ -95,6 +102,86 @@ let has_group_by (scen : Workload.Scenarios.t) =
          match v.Query.View.def with Query.Algebra.Group_by _ -> true | _ -> false)
        scen.views)
 
+(* ---- chain joins ---- *)
+
+(* The chain-join benchmark's view shapes (generator seed 11 at its
+   sizes: two 3-way joins among six views) over a small data set. *)
+let chain =
+  let gen ~seed ~initial_tuples ~value_range =
+    Workload.Generator.generate
+      { Workload.Generator.seed; n_sources = 3; n_relations = 6; n_views = 6;
+        max_join_width = 3; initial_tuples; n_transactions = 40;
+        multi_update_prob = 0.2; value_range; aggregate_views = false }
+  in
+  { (gen ~seed:31 ~initial_tuples:12 ~value_range:8) with
+    Workload.Scenarios.views =
+      (gen ~seed:11 ~initial_tuples:100 ~value_range:25).views }
+
+let three_way (scen : Workload.Scenarios.t) =
+  List.filter
+    (fun v -> List.length (Query.Algebra.base_relations v.Query.View.def) = 3)
+    scen.views
+
+(* The derived run maintains the first 3-way view through two auxiliary
+   views — its first two relations' join and a copy of the third — so
+   the manager keeps join state at both levels. *)
+let derived_override (scen : Workload.Scenarios.t) =
+  let open Query.Algebra in
+  let v = List.hd (three_way scen) in
+  let aux = ref [] in
+  let rec over = function
+    | Join (Join (Base a, Base b), Base c) ->
+      aux :=
+        [ Query.View.make "aux_ab" (join (base a) (base b));
+          Query.View.make "aux_c" (base c) ];
+      join (base "aux_ab") (base "aux_c")
+    | Select (p, e) -> Select (p, over e)
+    | Project (names, e) -> Project (names, over e)
+    | e -> e
+  in
+  let over_aux = over v.Query.View.def in
+  [ (Query.View.name v, Whips.System.Derived_vm { aux = !aux; over_aux }) ]
+
+let chain_vms =
+  Whips.System.
+    [ ("complete", ((Auto, Complete_vm), []));
+      ("batching", ((Auto, Batching_vm), []));
+      ("complete-2", ((Auto, Complete_n_vm 2), []));
+      ("convergent", ((Auto, Convergent_vm), []));
+      ("derived", ((Auto, Complete_vm), derived_override chain));
+      ("selfmaint", ((Auto, Selfmaint_vm), [])) ]
+
+(* (manager, domains) -> digest of the chain-join run, recorded before
+   join state was maintained. *)
+let chain_pinned =
+  [ ("complete", 1, "52c40c1069ecb9dbde63769760801998");
+    ("complete", 4, "52c40c1069ecb9dbde63769760801998");
+    ("batching", 1, "d34837bef834e98a014ab3a8522d2c28");
+    ("batching", 4, "d34837bef834e98a014ab3a8522d2c28");
+    ("complete-2", 1, "4325c831010785e0f3d2b1c47ffe9e8c");
+    ("complete-2", 4, "4325c831010785e0f3d2b1c47ffe9e8c");
+    ("convergent", 1, "dec3e47fbfb6a82a58edc027de53b362");
+    ("convergent", 4, "dec3e47fbfb6a82a58edc027de53b362");
+    ("derived", 1, "52c40c1069ecb9dbde63769760801998");
+    ("derived", 4, "52c40c1069ecb9dbde63769760801998");
+    ("selfmaint", 1, "52c40c1069ecb9dbde63769760801998");
+    ("selfmaint", 4, "52c40c1069ecb9dbde63769760801998") ]
+
+let chain_tests =
+  Helpers.case "chain workload carries several 3-way join views" (fun () ->
+      Alcotest.(check bool) ">= 2 three-way joins" true
+        (List.length (three_way chain) >= 2))
+  :: List.map
+       (fun (vm, domains, expected) ->
+         Helpers.case
+           (Printf.sprintf "chain-join %s domains %d reproduces its pinned digest"
+              vm domains)
+           (fun () ->
+             let vm, vm_overrides = List.assoc vm chain_vms in
+             let r = run ~vm_overrides ~vm ~domains chain in
+             Alcotest.(check string) "digest" expected (digest r)))
+       chain_pinned
+
 let tests =
   Helpers.case "generated workload carries several Group_by views" (fun () ->
       Alcotest.(check bool) ">= 2 aggregate views" true
@@ -108,3 +195,4 @@ let tests =
              let r = run ~vm:(List.assoc vm vms) ~domains (scenario scen) in
              Alcotest.(check string) "digest" expected (digest r)))
        pinned
+  @ chain_tests
