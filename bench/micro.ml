@@ -400,13 +400,13 @@ let groupby_setup ~rows ~maintained =
   and delete = Query.Delta.of_update (Update.delete "sales" sale) in
   (* The maintained state is seeded from the pre-state, as a manager
      seeds it from its initial replica. *)
-  let groups =
-    if maintained then Some (Query.Compiled.groups db plan) else None
+  let state =
+    if maintained then Some (Query.Compiled.state db plan) else None
   in
   fun () ->
     with_columnar true (fun () ->
-        ignore (Query.Delta.eval_plan ?groups ~pre:db insert plan);
-        ignore (Query.Delta.eval_plan ?groups ~pre:post delete plan))
+        ignore (Query.Delta.eval_plan ?state ~pre:db insert plan);
+        ignore (Query.Delta.eval_plan ?state ~pre:post delete plan))
 
 let groupby_kernel rows maintained =
   Printf.sprintf "kernel:groupby-delta-%dk/%s" (rows / 1000)
@@ -415,6 +415,58 @@ let groupby_kernel rows maintained =
 let test_groupby_delta rows maintained =
   Test.make ~name:(groupby_kernel rows maintained)
     (Staged.stage (groupby_setup ~rows ~maintained))
+
+(* Size independence of join maintenance: the left-deep 3-way chain
+   (R1(a,b) |><| R2(b,c)) |><| R3(c,d) with [rows] rows per relation,
+   every join key matching exactly four rows on each side. A run inserts
+   one row into the middle relation R2 and deletes it again (16 output
+   rows each way), leaving the state where it started. Each run sees
+   fresh R1 and R3 records, as a manager's replica does once other
+   updates in its stream have touched them: the stateless rule then
+   re-indexes both pre-state sides it probes (R1 at b, R3 at c), while
+   the maintained rule probes its own side indexes, so its cost must
+   not grow with the relations. *)
+let join3_setup ~rows ~maintained =
+  let keys = rows / 4 in
+  let rel attrs f =
+    Relation.of_tuples (int_schema attrs)
+      (List.init rows (fun i -> Tuple.ints (f i)))
+  in
+  let r1 = rel [ "a"; "b" ] (fun i -> [ i; i mod keys ])
+  and r2 = rel [ "b"; "c" ] (fun i -> [ i mod keys; (i * 7) mod keys ])
+  and r3 = rel [ "c"; "d" ] (fun i -> [ i mod keys; i ]) in
+  let db = Database.of_list [ ("R1", r1); ("R2", r2); ("R3", r3) ] in
+  let expr = Query.Algebra.(join_all [ base "R1"; base "R2"; base "R3" ]) in
+  let row = Tuple.ints [ 7; 7 ] in
+  let post = Database.apply_update db (Update.insert "R2" row) in
+  let plan = Query.Compiled.compile ~lookup:(Database.schema db) expr in
+  let insert = Query.Delta.of_update (Update.insert "R2" row)
+  and delete = Query.Delta.of_update (Update.delete "R2" row) in
+  let state =
+    if maintained then Some (Query.Compiled.state db plan) else None
+  in
+  (* Same contents, fresh record: no memoized index survives. *)
+  let fresh db name =
+    let rel = Database.find db name in
+    Database.add name
+      (Relation.with_contents
+         (Relation.create (Relation.schema rel))
+         (Relation.contents rel))
+      db
+  in
+  let refresh db = fresh (fresh db "R1") "R3" in
+  fun () ->
+    with_columnar true (fun () ->
+        ignore (Query.Delta.eval_plan ?state ~pre:(refresh db) insert plan);
+        ignore (Query.Delta.eval_plan ?state ~pre:(refresh post) delete plan))
+
+let join3_kernel rows maintained =
+  Printf.sprintf "kernel:join3-delta-%dk/%s" (rows / 1000)
+    (if maintained then "maintained" else "stateless")
+
+let test_join3_delta rows maintained =
+  Test.make ~name:(join3_kernel rows maintained)
+    (Staged.stage (join3_setup ~rows ~maintained))
 
 (* Ablation pairs reported in BENCH_kernel.json: (kernel, slow, fast) —
    naive vs hash for the historical pairs, boxed vs columnar for the
@@ -432,7 +484,9 @@ let ablation_pairs =
     ("groupby-delta-1k", groupby_kernel 1000 false, groupby_kernel 1000 true);
     ( "groupby-delta-50k",
       groupby_kernel 50_000 false,
-      groupby_kernel 50_000 true ) ]
+      groupby_kernel 50_000 true );
+    ("join3-delta-1k", join3_kernel 1000 false, join3_kernel 1000 true);
+    ("join3-delta-10k", join3_kernel 10_000 false, join3_kernel 10_000 true) ]
 
 (* [test_maintain_10k_columnar] leads: its estimate is the
    first_kernel_ns_per_run headline that BENCH_summary.json and the
@@ -447,17 +501,23 @@ let tests =
     test_eval_join_1k_hash; test_eval_join_1k_naive; test_vut_guards_indexed;
     test_vut_guards_scan; test_oracle; test_system;
     test_groupby_delta 1000 true; test_groupby_delta 50_000 true;
-    test_groupby_delta 1000 false; test_groupby_delta 50_000 false ]
+    test_groupby_delta 1000 false; test_groupby_delta 50_000 false;
+    test_join3_delta 1000 true; test_join3_delta 10_000 true;
+    test_join3_delta 1000 false; test_join3_delta 10_000 false ]
 
-(* Maintained per-update cost at 50k sales rows over the cost at 1k:
-   the size-independence figure that [--check-regression] gates. *)
-let groupby_size_ratio estimates =
-  match
-    ( List.assoc_opt (groupby_kernel 50_000 true) estimates,
-      List.assoc_opt (groupby_kernel 1000 true) estimates )
-  with
+(* Maintained per-update cost at the large size over the cost at the
+   small one: the size-independence figures that [--check-regression]
+   gates (Group_by at 50k / 1k sales rows, the 3-way join at 10k / 1k). *)
+let size_ratio ~big ~small estimates =
+  match (List.assoc_opt big estimates, List.assoc_opt small estimates) with
   | Some big, Some small when small > 0.0 -> Some (big /. small)
   | _ -> None
+
+let groupby_size_ratio =
+  size_ratio ~big:(groupby_kernel 50_000 true) ~small:(groupby_kernel 1000 true)
+
+let join_size_ratio =
+  size_ratio ~big:(join3_kernel 10_000 true) ~small:(join3_kernel 1000 true)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -476,6 +536,10 @@ let json_escape s =
 (* Machine-readable perf baseline (format documented in EXPERIMENTS.md):
    every kernel's ns/run plus the naive-vs-hash ablation pairs, so future
    PRs can diff the trajectory instead of eyeballing table output. *)
+let ratio_field name = function
+  | Some r -> Printf.sprintf ",\n  \"%s\": %.3f" name r
+  | None -> ""
+
 let write_json ~path estimates =
   let oc = open_out path in
   let kernels =
@@ -511,14 +575,13 @@ let write_json ~path estimates =
     \  \"quick\": %b,\n\
     \  \"headline_kernel\": \"%s\",\n\
     \  \"kernels\": [\n%s\n  ],\n\
-    \  \"ablations\": [\n%s\n  ]%s\n\
+    \  \"ablations\": [\n%s\n  ]%s%s\n\
      }\n"
     !quick (json_escape headline)
     (String.concat ",\n" kernels)
     (String.concat ",\n" ablations)
-    (match groupby_size_ratio estimates with
-    | Some r -> Printf.sprintf ",\n  \"groupby_size_ratio\": %.3f" r
-    | None -> "");
+    (ratio_field "groupby_size_ratio" (groupby_size_ratio estimates))
+    (ratio_field "join_size_ratio" (join_size_ratio estimates));
   close_out oc
 
 let run () =
@@ -570,5 +633,8 @@ let run () =
   Option.iter
     (Printf.printf "groupby-delta per-update cost, 50k / 1k rows: %.2fx\n%!")
     (groupby_size_ratio estimates);
+  Option.iter
+    (Printf.printf "join3-delta per-update cost, 10k / 1k rows: %.2fx\n%!")
+    (join_size_ratio estimates);
   write_json ~path:"BENCH_kernel.json" estimates;
   Printf.printf "wrote BENCH_kernel.json\n%!"

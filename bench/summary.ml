@@ -122,7 +122,8 @@ let catalogue =
   [ ( "BENCH_kernel.json",
       "micro",
       [ ("ns_per_run", "first_kernel_ns_per_run");
-        ("groupby_size_ratio", "groupby_size_ratio") ] );
+        ("groupby_size_ratio", "groupby_size_ratio");
+        ("join_size_ratio", "join_size_ratio") ] );
     ( "BENCH_parallel.json",
       "parallel",
       [ ( "speedup_vs_sequential_at_4_domains",
@@ -364,23 +365,27 @@ let run () =
     | None, _ ->
       Printf.printf "regression gate: no kernel headline to check\n%!"
   end;
-  (* Aggregate maintenance must not grow with the base table: the
-     maintained Group_by delta at 50k rows may cost at most the factor
-     times its cost at 1k rows. An absolute gate (no history needed). *)
-  if !check_regression then begin
-    match List.assoc_opt "groupby_size_ratio" all_metrics with
-    | Some r when r > regression_factor ->
-      Printf.printf
-        "REGRESSION: groupby delta at 50k rows costs %.2fx its cost at 1k \
-         rows (gate: %.1fx)\n\
-         %!"
-        r regression_factor;
-      exit 1
-    | Some r ->
-      Printf.printf "regression gate: groupby size ratio %.2fx (ok)\n%!" r
-    | None ->
-      Printf.printf "regression gate: no groupby size ratio to check\n%!"
-  end;
+  (* Maintenance must not grow with the base tables: the maintained
+     Group_by delta at 50k rows, and the maintained 3-way join delta at
+     10k rows, may each cost at most the factor times its cost at 1k
+     rows. Absolute gates (no history needed). *)
+  if !check_regression then
+    List.iter
+      (fun (metric, what, big) ->
+        match List.assoc_opt metric all_metrics with
+        | Some r when r > regression_factor ->
+          Printf.printf
+            "REGRESSION: %s delta at %s rows costs %.2fx its cost at 1k rows \
+             (gate: %.1fx)\n\
+             %!"
+            what big r regression_factor;
+          exit 1
+        | Some r ->
+          Printf.printf "regression gate: %s size ratio %.2fx (ok)\n%!" what r
+        | None ->
+          Printf.printf "regression gate: no %s size ratio to check\n%!" what)
+      [ ("groupby_size_ratio", "groupby", "50k");
+        ("join_size_ratio", "join3", "10k") ];
   (* Resilience headline: warehouse-crash recovery time at the default
      checkpoint cadence. Simulated seconds — fully deterministic — so
      any growth beyond the factor is a real protocol regression, not

@@ -37,3 +37,7 @@ dune exec bench/main.exe -- -quick --check-regression summary
 # The whole suite once more through the multicore runtime: MVC_DOMAINS
 # flips the default parallel config, and every trace must be identical.
 MVC_DOMAINS=4 dune runtest --force
+# And once with the columnar kernels off: the managers' maintained plan
+# state runs either way, while the stateless join rule's memoized-index
+# fast path is columnar-only, so both settings must pass.
+MVC_COLUMNAR=0 dune runtest --force

@@ -384,34 +384,54 @@ let eval ?exec db t =
   Relation.with_contents (Relation.create t.schema) (eval_bag ?exec db t)
 
 (* ------------------------------------------------------------------ *)
-(* Maintained aggregate state.                                        *)
+(* Maintained plan state.                                             *)
 
-(* One Group_state per Group_by node, found by the node's physical
-   identity: a manager compiles its own plan, so the plan's nodes name
-   exactly its own state. *)
-type groups = (group * Group_state.t) list
+(* One Group_state per Group_by node and one pair of side indexes per
+   Join node, each found by the node's physical identity: a manager
+   compiles its own plan, so the plan's nodes name exactly its own
+   state. A join's indexes cover each side's output over the pre-state,
+   keyed on that side's join-key positions. *)
+type sides = { left_index : Bag_index.t; right_index : Bag_index.t }
 
-let groups ?exec db t =
+type state = {
+  groups : (group * Group_state.t) list;
+  joins : (join * sides) list;
+}
+
+let state ?exec db t =
   let rec collect acc t =
     match t.node with
     | Base _ -> acc
     | Select (_, e) | Project (_, e) -> collect acc e
-    | Join { left; right; _ } -> collect (collect acc left) right
+    | Join ({ left; right; key_left; key_right; _ } as j) ->
+      let side e key_pos = Bag_index.of_bag ~key_pos (eval_bag ?exec db e) in
+      let sides =
+        { left_index = side left key_left; right_index = side right key_right }
+      in
+      collect (collect { acc with joins = (j, sides) :: acc.joins } left) right
     | Union (a, b) -> collect (collect acc a) b
     | Group_by ({ input; spec } as g) ->
-      collect
-        ((g, Group_state.of_bag spec (eval_bag ?exec db input)) :: acc)
-        input
+      let groups =
+        (g, Group_state.of_bag spec (eval_bag ?exec db input)) :: acc.groups
+      in
+      collect { acc with groups } input
   in
-  List.rev (collect [] t)
+  let st = collect { groups = []; joins = [] } t in
+  { groups = List.rev st.groups; joins = List.rev st.joins }
 
-let no_groups = []
+let no_state = { groups = []; joins = [] }
 
-let groups_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (g, s) (h, u) -> g == h && Group_state.equal s u)
-       a b
+let state_equal a b =
+  let same eq x y =
+    List.length x = List.length y
+    && List.for_all2 (fun (n, s) (m, u) -> n == m && eq s u) x y
+  in
+  same Group_state.equal a.groups b.groups
+  && same
+       (fun s u ->
+         Bag_index.equal s.left_index u.left_index
+         && Bag_index.equal s.right_index u.right_index)
+       a.joins b.joins
 
 (* ------------------------------------------------------------------ *)
 (* Incremental delta rules over compiled plans.                       *)
@@ -423,12 +443,13 @@ let groups_equal a b =
    precomputed key positions; the pre-state side of a rule is only
    evaluated when the matching delta side is non-empty.
 
-   [pre_index], when it returns an index for a [Base] join operand
-   (keyed on that operand's join-key positions over its pre-state),
-   short-circuits the dA |><| B_pre and A_pre |><| dB rules into pure
-   probes: the pre-state side is neither evaluated nor re-indexed, so
-   the cost is O(|delta|) instead of O(|pre|). The shared-plan engine
-   supplies it for materialized intermediates. *)
+   A Join node with maintained [state] never evaluates a pre-state side:
+   dA |><| B_pre and A_pre |><| dB are pure probes of its side indexes,
+   which then advance by the side deltas the rule already computed, so
+   the cost is O(|delta|). Without state, [pre_index], when it returns an
+   index for a [Base] join operand (keyed on that operand's join-key
+   positions over its pre-state), short-circuits the same rules; the
+   shared-plan engine supplies it for materialized intermediates. *)
 let no_pre_index : string -> key_pos:int array -> Bag_index.t option =
  fun _ ~key_pos:_ -> None
 
@@ -471,32 +492,35 @@ let probe_left_index ?filter ~index ~key_right ~right_extra db_l =
         acc)
     [] db_l
 
-let rec delta ?(exec = Parallel.Exec.sequential) ?(groups = [])
+let rec delta ?(exec = Parallel.Exec.sequential) ?(state = no_state)
     ?(pre_index = no_pre_index) ?(pre_relation = no_pre_relation) ~changes
     ~eval_pre t =
   match t.node with
   | Base name -> changes name
   | Select (pred, e) ->
     Signed_bag.filter (eval_pred pred)
-      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre e)
+      (delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre e)
   | Project (positions, e) ->
     Signed_bag.map (Tuple.project_pos positions)
-      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre e)
-  | Join { left; right; key_left; key_right; right_extra } ->
-    let sub = delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre in
+      (delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre e)
+  | Join ({ left; right; key_left; key_right; right_extra } as j) ->
+    let sub = delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre in
     let da = sub left and db_ = sub right in
     if Signed_bag.is_zero da && Signed_bag.is_zero db_ then Signed_bag.zero
     else begin
       let join = join_counted_pos ~exec ~key_left ~key_right ~right_extra in
       let da_l = Signed_bag.to_list da and db_l = Signed_bag.to_list db_ in
+      let maintained = List.assq_opt j state.joins in
       (* An index over a pre-state side, avoiding its evaluation: the
-         caller-supplied [pre_index] (materialized intermediates), else
-         the relation's own memoized int-keyed index when the side is a
-         base relation — possibly under a pushed-down selection, which
-         becomes a filter on the probe matches. *)
-      let indexed side key =
-        match side.node with
-        | Base name -> (
+         node's maintained side index, else the caller-supplied
+         [pre_index] (materialized intermediates), else the relation's
+         own memoized int-keyed index when the side is a base relation —
+         possibly under a pushed-down selection, which becomes a filter
+         on the probe matches. *)
+      let indexed side key pick =
+        match (maintained, side.node) with
+        | Some sides, _ -> Some (pick sides, None)
+        | None, Base name -> (
           match pre_index name ~key_pos:key with
           | Some index -> Some (index, None)
           | None ->
@@ -505,17 +529,17 @@ let rec delta ?(exec = Parallel.Exec.sequential) ?(groups = [])
                 (fun rel -> (Relation.index rel ~key_pos:key, None))
                 (pre_relation name)
             else None)
-        | Select (p, { node = Base name; _ }) when !Columnar.enabled ->
+        | None, Select (p, { node = Base name; _ }) when !Columnar.enabled ->
           Option.map
             (fun rel -> (Relation.index rel ~key_pos:key, Some p))
             (pre_relation name)
-        | _ -> None
+        | None, _ -> None
       in
       (* d(A |><| B) = dA |><| B_pre + A_pre |><| dB + dA |><| dB *)
       let part1 =
         if da_l = [] then []
         else
-          match indexed right key_right with
+          match indexed right key_right (fun s -> s.right_index) with
           | Some (index, filter) ->
             probe_right_index ?filter ~index ~key_left ~right_extra da_l
           | None -> join da_l (Bag.to_counted_list (eval_pre right))
@@ -523,21 +547,28 @@ let rec delta ?(exec = Parallel.Exec.sequential) ?(groups = [])
       let part2 =
         if db_l = [] then []
         else
-          match indexed left key_left with
+          match indexed left key_left (fun s -> s.left_index) with
           | Some (index, filter) ->
             probe_left_index ?filter ~index ~key_right ~right_extra db_l
           | None -> join (Bag.to_counted_list (eval_pre left)) db_l
       in
       let part3 = if da_l = [] || db_l = [] then [] else join da_l db_l in
+      (* Both probes have read the pre-state; advance the indexes to the
+         post-state by the exact side deltas. *)
+      Option.iter
+        (fun s ->
+          Bag_index.apply_signed s.left_index da;
+          Bag_index.apply_signed s.right_index db_)
+        maintained;
       Signed_bag.of_list (List.concat [ part1; part2; part3 ])
     end
   | Union (a, b) ->
     Signed_bag.sum
-      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre a)
-      (delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre b)
+      (delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre a)
+      (delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre b)
   | Group_by ({ input; spec } as g) ->
     let d_in =
-      delta ~exec ~groups ~pre_index ~pre_relation ~changes ~eval_pre input
+      delta ~exec ~state ~pre_index ~pre_relation ~changes ~eval_pre input
     in
     if Signed_bag.is_zero d_in then Signed_bag.zero
     else begin
@@ -545,12 +576,12 @@ let rec delta ?(exec = Parallel.Exec.sequential) ?(groups = [])
          otherwise a transient one holding just the touched groups, from
          one scan of the pre-state input. Either way the same step emits
          the rows. *)
-      let state =
-        match List.assq_opt g groups with
-        | Some state -> state
+      let groups =
+        match List.assq_opt g state.groups with
+        | Some groups -> groups
         | None -> Group_state.seed spec ~affected:d_in (eval_pre input)
       in
-      Group_state.step ~pre_input:(fun () -> eval_pre input) state d_in
+      Group_state.step ~pre_input:(fun () -> eval_pre input) groups d_in
     end
 
 (* ------------------------------------------------------------------ *)

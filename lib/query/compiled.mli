@@ -52,24 +52,28 @@ val eval_bag : ?exec:Parallel.Exec.t -> Database.t -> t -> Bag.t
     With a pooled [exec], large joins run sharded (see
     {!join_counted_pos}); results are identical. *)
 
-type groups
-(** The maintained aggregate state of a plan: one {!Group_state.t} per
-    [Group_by] node. Mutable, owned by one caller at a time — a view
-    manager keeps it beside the replica it advances in order. *)
+type state
+(** The maintained state of a plan: one {!Group_state.t} per [Group_by]
+    node, and per [Join] node one {!Bag_index.t} over each side's output,
+    keyed on that side's join-key positions. Mutable, owned by one caller
+    at a time — a view manager keeps it beside the replica it advances
+    in order. *)
 
-val groups : ?exec:Parallel.Exec.t -> Database.t -> t -> groups
-(** Seed the state of every [Group_by] node from a database state (each
-    node's input evaluated once). Empty for a plan without [Group_by]. *)
+val state : ?exec:Parallel.Exec.t -> Database.t -> t -> state
+(** Seed the state of every [Group_by] and [Join] node from a database
+    state, in one pass over the plan (each node's inputs evaluated once).
+    Empty for a plan with neither. *)
 
-val no_groups : groups
+val no_state : state
 (** The state of a plan kept stateless. *)
 
-val groups_equal : groups -> groups -> bool
-(** Same nodes, each with {!Group_state.equal} state. *)
+val state_equal : state -> state -> bool
+(** Same nodes, each with {!Group_state.equal} aggregate state and
+    {!Bag_index.equal} side indexes. *)
 
 val delta :
   ?exec:Parallel.Exec.t ->
-  ?groups:groups ->
+  ?state:state ->
   ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   ?pre_relation:(string -> Relation.t option) ->
   changes:(string -> Signed_bag.t) ->
@@ -83,13 +87,22 @@ val delta :
     pre-state side is only evaluated when the matching delta side is
     non-empty.
 
-    [groups], when it was seeded for this plan and advanced through
-    exactly the deltas up to the pre-state [eval_pre] reads, makes each
-    [Group_by] rule O(|input delta| + touched groups): {!Group_state.step}
-    reads and updates only the touched groups, and the call advances the
-    state to the post-state. Without it, each [Group_by] rule seeds a
-    transient state for just the touched groups from one scan of its
-    pre-state input and runs the same step.
+    [state], when it was seeded for this plan and advanced through
+    exactly the deltas up to the pre-state [eval_pre] reads, makes the
+    call O(|delta|) in the pre-state size at every node it covers, and
+    advances the state to the post-state:
+    - each [Join] rule's [dA |><| B_pre] and [A_pre |><| dB] become pure
+      probes of the node's side indexes, which then advance in place
+      ({!Bag_index.apply_signed}) by the side deltas the rule computed;
+    - each [Group_by] rule costs O(|input delta| + touched groups):
+      {!Group_state.step} reads and updates only the touched groups.
+    Without it, each [Group_by] rule seeds a transient state for just the
+    touched groups from one scan of its pre-state input and runs the
+    same step, and each [Join] rule falls back to the options below.
+
+    The remaining parameters are the stateless callers' path ({!Delta.eval},
+    the shared-plan engine, result-cache refresh) and are ignored at a
+    [Join] node the state covers.
 
     [pre_index name ~key_pos], when it returns a hash index over [name]'s
     pre-state keyed at [key_pos], turns the join rules whose pre-state
@@ -103,11 +116,10 @@ val delta :
     lets the join rules fall back to the relation's own memoized
     int-keyed index ({!Relation.index}) for sides that are base
     relations — or selections pushed down onto base relations, whose
-    predicate is then applied as a filter on the probe matches. Since
-    the index is cached on the relation record itself, a 10k-row
-    pre-state costs one index build per version rather than one scan per
-    transaction. Only consulted when columnar kernels are enabled
-    ({!Columnar.enabled}). *)
+    predicate is then applied as a filter on the probe matches. The
+    index is cached on the relation record, which every update replaces,
+    so this costs one index build per version. Only consulted when
+    columnar kernels are enabled ({!Columnar.enabled}). *)
 
 val join_counted_pos :
   ?exec:Parallel.Exec.t ->

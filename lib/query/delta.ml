@@ -140,9 +140,9 @@ let rec eval_naive ~pre changes expr =
         affected Signed_bag.zero
     end
 
-let eval_plan ?(exec = Parallel.Exec.sequential) ?groups ?pre_index ~pre changes
+let eval_plan ?(exec = Parallel.Exec.sequential) ?state ?pre_index ~pre changes
     plan =
-  Compiled.delta ~exec ?groups ?pre_index
+  Compiled.delta ~exec ?state ?pre_index
     ~pre_relation:(fun name -> Database.find_opt pre name)
     ~changes:(fun name ->
       let _ = Database.find pre name in

@@ -50,7 +50,7 @@ val eval :
 
 val eval_plan :
   ?exec:Parallel.Exec.t ->
-  ?groups:Compiled.groups ->
+  ?state:Compiled.state ->
   ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   pre:Database.t ->
   changes ->
@@ -58,9 +58,10 @@ val eval_plan :
   Signed_bag.t
 (** Delta of an already-compiled plan — what view managers use, compiling
     their definition once at creation instead of per transaction.
-    [groups] is the manager's maintained aggregate state for [plan]
-    (seeded by {!Compiled.groups} from its initial replica); the call
-    advances it from [pre] to the post-state. [pre_index] is forwarded
+    [state] is the manager's maintained plan state for [plan] —
+    aggregate groups and join-side indexes, seeded by {!Compiled.state}
+    from its initial replica; the call advances it from [pre] to the
+    post-state. [pre_index] is forwarded
     to {!Compiled.delta}: a returned index over a base relation's
     pre-state turns that relation's join rules into pure probes. *)
 

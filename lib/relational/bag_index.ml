@@ -1,13 +1,14 @@
 (* Open-addressing hash index keyed on interned key-column ids.
 
    Rows live in flat parallel arrays (boxed tuple + count + the key's
-   value ids, flattened); the table stores chain heads (row + 1, 0 =
-   empty) with linear probing between distinct keys and an intra-key
-   [next] chain. Probing therefore costs an int-mix of the key ids and
-   a handful of int compares — no per-probe tuple hashing or boxed key
-   allocation. Counts may be negative (signed deltas index fine); a
-   count that reaches exactly zero under [apply_signed] is dead and
-   skipped by every reader. *)
+   value ids, flattened; the tuple's hash once the index is edited in
+   place); the table stores chain heads (row + 1, 0 = empty) with
+   linear probing between distinct keys and an intra-key [next] chain.
+   Probing therefore costs an int-mix of the key ids and a handful of
+   int compares — no per-probe tuple hashing or boxed key allocation.
+   Counts may be negative (signed deltas index fine); a count that
+   reaches exactly zero under [apply_signed] is dead and skipped by
+   every reader. *)
 
 type t = {
   key_pos : int array;
@@ -15,6 +16,9 @@ type t = {
   mutable tups : Tuple.t array;
   mutable counts : int array;
   mutable keys : int array;  (* flat: row * karity + c *)
+  mutable hashes : int array;
+      (* Tuple.hash of each row's tuple, parallel to [tups] — filled on
+         the first [apply_signed]; empty for build-once join indexes. *)
   mutable n : int;  (* rows, dead included *)
   mutable slots : int array;  (* chain heads: row + 1; 0 = empty *)
   mutable next : int array;
@@ -53,7 +57,8 @@ let create ~key_pos cap =
   in
   { key_pos; karity = Array.length key_pos;
     tups = Array.make cap dummy_tuple; counts = Array.make cap 0;
-    keys = Array.make (cap * Array.length key_pos + 1) 0; n = 0;
+    keys = Array.make (cap * Array.length key_pos + 1) 0;
+    hashes = [||]; n = 0;
     slots = Array.make scap 0; next = Array.make cap (-1); used = 0;
     dead = 0 }
 
@@ -86,6 +91,8 @@ let rehash t =
     link t row
   done
 
+let hashed t = Array.length t.hashes > 0
+
 let grow_rows t =
   let cap = 2 * Array.length t.tups in
   let tups = Array.make cap dummy_tuple in
@@ -97,22 +104,30 @@ let grow_rows t =
   let keys = Array.make (cap * t.karity + 1) 0 in
   Array.blit t.keys 0 keys 0 (t.n * t.karity);
   t.keys <- keys;
+  if hashed t then begin
+    let hashes = Array.make cap 0 in
+    Array.blit t.hashes 0 hashes 0 t.n;
+    t.hashes <- hashes
+  end;
   let next = Array.make cap (-1) in
   Array.blit t.next 0 next 0 t.n;
   t.next <- next
 
-(* Append a new row (not yet linked). *)
+(* Append a new row and link it. The slot table grows first, while it
+   holds only the existing rows: rehashing after counting the new row in
+   would link it twice, chaining it to itself. *)
 let push_row t tup count =
   if t.n = Array.length t.tups then grow_rows t;
+  if 2 * t.used >= Array.length t.slots then rehash t;
   let row = t.n in
   t.tups.(row) <- tup;
   t.counts.(row) <- count;
+  if hashed t then t.hashes.(row) <- Tuple.hash tup;
   let k = row * t.karity in
   for c = 0 to t.karity - 1 do
     t.keys.(k + c) <- Value.intern (Tuple.get tup t.key_pos.(c))
   done;
   t.n <- row + 1;
-  if 2 * t.used >= Array.length t.slots then rehash t;
   link t row
 
 let add t tup n = if n <> 0 then push_row t tup n
@@ -184,6 +199,7 @@ let compact t =
       if m' <> row then begin
         t.tups.(m') <- t.tups.(row);
         t.counts.(m') <- t.counts.(row);
+        t.hashes.(m') <- t.hashes.(row);
         Array.blit t.keys (row * t.karity) t.keys (m' * t.karity) t.karity
       end;
       incr m
@@ -206,6 +222,10 @@ let compact t =
    calls this for every live index, delta or no delta. *)
 let apply_signed t delta =
   if not (Signed_bag.is_zero delta) then begin
+    if not (hashed t) then
+      t.hashes <-
+        Array.init (Array.length t.tups) (fun row ->
+            if row < t.n then Tuple.hash t.tups.(row) else 0);
     Signed_bag.fold
       (fun tup n () ->
         let ids =
@@ -213,11 +233,19 @@ let apply_signed t delta =
             (fun p -> Value.intern (Tuple.get tup p))
             t.key_pos
         in
+        (* The tuple's row is found by walking its key's chain, comparing
+           stored hashes before tuples, so a key shared by many rows costs
+           int compares. A tuple's tombstone revives when the tuple comes
+           back: a row deleted and re-inserted keeps one row instead of
+           lengthening its chain by a tombstone per round trip. *)
+        let h = Tuple.hash tup in
         let rec adjust row =
           if row < 0 then push_row t tup n
-          else if t.counts.(row) <> 0 && Tuple.equal t.tups.(row) tup then begin
-            t.counts.(row) <- t.counts.(row) + n;
-            if t.counts.(row) = 0 then t.dead <- t.dead + 1
+          else if t.hashes.(row) = h && Tuple.equal t.tups.(row) tup then begin
+            let was = t.counts.(row) in
+            if was = 0 then t.dead <- t.dead - 1;
+            t.counts.(row) <- was + n;
+            if was + n = 0 then t.dead <- t.dead + 1
           end
           else adjust t.next.(row)
         in
@@ -230,6 +258,18 @@ let apply_signed t delta =
        live population. *)
     if t.n >= 16 && 2 * t.dead >= t.n then compact t
   end
+
+(* Live entries as a signed bag: duplicate rows of one tuple (possible
+   through [of_counted]) sum, and tombstones and chain order drop out. *)
+let live t =
+  let acc = ref Signed_bag.zero in
+  for row = 0 to t.n - 1 do
+    if t.counts.(row) <> 0 then
+      acc := Signed_bag.add t.tups.(row) t.counts.(row) !acc
+  done;
+  !acc
+
+let equal a b = a.key_pos = b.key_pos && Signed_bag.equal (live a) (live b)
 
 type occupancy = { rows : int; live : int; tombstones : int; slots : int }
 

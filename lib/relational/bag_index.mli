@@ -45,11 +45,18 @@ val apply_signed : t -> Signed_bag.t -> unit
     depend on entry order (join results are canonicalized into bags).
     An empty delta returns immediately without allocating.
 
-    Counts that reach exactly zero become tombstones; once tombstones
+    Counts that reach exactly zero become tombstones, and a tombstone
+    revives when its tuple is re-inserted; once tombstones
     are at least half of the stored rows (and the index is non-trivial)
     the index compacts in place — live entries and probe results are
     unchanged, but row and slot storage stays proportional to the live
     population under churn instead of growing forever. *)
+
+val equal : t -> t -> bool
+(** Same key positions and the same live (tuple, count) entries —
+    regardless of row order, tombstones or slot-table size. An index
+    advanced by {!apply_signed} equals one built fresh from the bag it
+    now indexes. *)
 
 type occupancy = {
   rows : int;  (** Stored rows, tombstones included. *)

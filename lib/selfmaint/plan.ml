@@ -84,10 +84,10 @@ let project t changes =
            | None -> Some (a.relation, raw))
        t.auxes)
 
-let groups ?exec t cache = Query.Compiled.groups ?exec cache t.compiled
+let state ?exec t cache = Query.Compiled.state ?exec cache t.compiled
 
-let delta ?exec ?groups t ~pre changes =
-  Query.Delta.eval_plan ?exec ?groups ~pre changes t.compiled
+let delta ?exec ?state t ~pre changes =
+  Query.Delta.eval_plan ?exec ?state ~pre changes t.compiled
 
 let advance _t cache changes =
   List.fold_left

@@ -30,13 +30,13 @@ val project : t -> Query.Delta.changes -> Query.Delta.changes
     relations and project each one onto its live attributes — the only
     transformation between the update stream and the local probe. *)
 
-val groups : ?exec:Parallel.Exec.t -> t -> Database.t -> Query.Compiled.groups
-(** Seed the view's maintained aggregate state from an auxiliary state
-    (see {!Query.Compiled.groups}). *)
+val state : ?exec:Parallel.Exec.t -> t -> Database.t -> Query.Compiled.state
+(** Seed the view's maintained plan state (aggregate groups and join-side
+    indexes) from an auxiliary state (see {!Query.Compiled.state}). *)
 
 val delta :
   ?exec:Parallel.Exec.t ->
-  ?groups:Query.Compiled.groups ->
+  ?state:Query.Compiled.state ->
   t ->
   pre:Database.t ->
   Query.Delta.changes ->
@@ -44,7 +44,7 @@ val delta :
 (** The view's maintenance delta, computed entirely from the auxiliary
     pre-state and the (already {!project}ed) changes — no source
     access. Equals {!Query.Delta} over the full base data (see
-    {!Derive}). [groups], seeded by {!groups} and advanced through every
+    {!Derive}). [state], seeded by {!state} and advanced through every
     earlier delta, is advanced to the post-state. *)
 
 val advance : t -> Database.t -> Query.Delta.changes -> Database.t

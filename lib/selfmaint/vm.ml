@@ -5,7 +5,7 @@ type state = {
   compute_latency : batch:int -> float;
   exec : Parallel.Exec.t;
   plan : Plan.t;
-  groups : Query.Compiled.groups; (* aggregate state, advanced with [cache] *)
+  plan_state : Query.Compiled.state; (* advanced with [cache] *)
   emit : Query.Action_list.t -> unit;
   on_apply : Update.Transaction.t -> Database.t -> unit;
   queue : Update.Transaction.t Queue.t;
@@ -26,7 +26,7 @@ let rec pump st =
     let fut =
       Parallel.Exec.spawn st.exec (fun () ->
           let delta =
-            Plan.delta ~exec:st.exec ~groups:st.groups st.plan ~pre changes
+            Plan.delta ~exec:st.exec ~state:st.plan_state st.plan ~pre changes
           in
           Query.Action_list.delta
             ~view:(Query.View.name (Plan.view st.plan))
@@ -54,7 +54,7 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential) ?state
   in
   let st =
     { engine; compute_latency; exec; plan;
-      groups = Plan.groups ~exec plan cache; emit; on_apply;
+      plan_state = Plan.state ~exec plan cache; emit; on_apply;
       queue = Queue.create (); cache; busy = false }
   in
   { Viewmgr.Vm.view; level = Viewmgr.Vm.Complete;

@@ -7,7 +7,7 @@ type state = {
   max_batch : int;
   view : Query.View.t;
   plan : Query.Compiled.t; (* the view definition, compiled once *)
-  groups : Query.Compiled.groups; (* aggregate state, advanced with [cache] *)
+  plan_state : Query.Compiled.state; (* advanced with [cache] *)
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable cache : Database.t;
@@ -32,7 +32,7 @@ let rec pump st =
     let fut =
       Parallel.Exec.spawn st.exec (fun () ->
           let delta =
-            Query.Delta.eval_plan ~exec:st.exec ~groups:st.groups ~pre
+            Query.Delta.eval_plan ~exec:st.exec ~state:st.plan_state ~pre
               changes st.plan
           in
           Query.Action_list.delta ~view:(Query.View.name st.view) ~state:last
@@ -57,7 +57,7 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential)
   in
   let st =
     { engine; compute_latency; exec; max_batch; view; plan;
-      groups = Query.Compiled.groups ~exec cache plan; emit;
+      plan_state = Query.Compiled.state ~exec cache plan; emit;
       queue = Queue.create (); cache; busy = false }
   in
   { Vm.view; level = Vm.Strongly_consistent;

@@ -6,7 +6,7 @@ type state = {
   exec : Parallel.Exec.t;
   view : Query.View.t;
   plan : Query.Compiled.t; (* the view definition, compiled once *)
-  groups : Query.Compiled.groups; (* aggregate state, advanced with [cache] *)
+  plan_state : Query.Compiled.state; (* advanced with [cache] *)
   delta_fn :
     (pre:Database.t -> Update.Transaction.t -> Signed_bag.t) option;
   emit : Query.Action_list.t -> unit;
@@ -31,7 +31,7 @@ let rec pump st =
             | Some f -> f ~pre txn
             | None ->
               let changes = Query.Delta.of_transaction txn in
-              Query.Delta.eval_plan ~exec:st.exec ~groups:st.groups ~pre
+              Query.Delta.eval_plan ~exec:st.exec ~state:st.plan_state ~pre
                 changes st.plan
           in
           Query.Action_list.delta ~view:(Query.View.name st.view)
@@ -52,15 +52,15 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential)
     Query.Compiled.compile ~lookup:(Database.schema cache)
       view.Query.View.def
   in
-  (* A supplied [delta_fn] computes every delta itself, so no aggregate
+  (* A supplied [delta_fn] computes every delta itself, so no plan
      state is kept for it. *)
-  let groups =
+  let plan_state =
     match delta_fn with
-    | None -> Query.Compiled.groups ~exec cache plan
-    | Some _ -> Query.Compiled.no_groups
+    | None -> Query.Compiled.state ~exec cache plan
+    | Some _ -> Query.Compiled.no_state
   in
   let st =
-    { engine; compute_latency; exec; view; plan; groups; delta_fn; emit;
+    { engine; compute_latency; exec; view; plan; plan_state; delta_fn; emit;
       queue = Queue.create (); cache; busy = false }
   in
   { Vm.view; level = Vm.Complete;

@@ -5,7 +5,7 @@ type state = {
   emit_delay : unit -> float;
   view : Query.View.t;
   plan : Query.Compiled.t; (* the view definition, compiled once *)
-  groups : Query.Compiled.groups; (* aggregate state, advanced with [cache] *)
+  plan_state : Query.Compiled.state; (* advanced with [cache] *)
   emit : Query.Action_list.t -> unit;
   mutable cache : Database.t;
   mutable in_flight : int;
@@ -18,15 +18,17 @@ let create ~engine ~emit_delay ~initial ~view ~emit () =
       view.Query.View.def
   in
   let st =
-    { engine; emit_delay; view; plan; groups = Query.Compiled.groups cache plan;
-      emit; cache; in_flight = 0 }
+    { engine; emit_delay; view; plan;
+      plan_state = Query.Compiled.state cache plan; emit; cache;
+      in_flight = 0 }
   in
   { Vm.view; level = Vm.Convergent;
     receive =
       (fun txn ->
         let changes = Query.Delta.of_transaction txn in
         let delta =
-          Query.Delta.eval_plan ~groups:st.groups ~pre:st.cache changes st.plan
+          Query.Delta.eval_plan ~state:st.plan_state ~pre:st.cache changes
+            st.plan
         in
         st.cache <- Database.apply_relevant st.cache txn;
         let al =

@@ -4,11 +4,11 @@ type state = {
   engine : Sim.Engine.t;
   compute_latency : batch:int -> float;
   aux : Query.View.t list;
-  aux_plans : (string * Query.Compiled.t * Query.Compiled.groups) list;
-      (* per aux view: compiled, with its aggregate state *)
+  aux_plans : (string * Query.Compiled.t * Query.Compiled.state) list;
+      (* per aux view: compiled, with its plan state *)
   view : Query.View.t;
   over_aux_plan : Query.Compiled.t;
-  over_aux_groups : Query.Compiled.groups;
+  over_aux_state : Query.Compiled.state;
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable base_cache : Database.t; (* base relations the aux views need *)
@@ -25,16 +25,16 @@ let rec pump st =
     let aux_changes =
       Query.Delta.changes_of_list
         (List.map
-           (fun (name, plan, groups) ->
+           (fun (name, plan, state) ->
              ( name,
-               Query.Delta.eval_plan ~groups ~pre:st.base_cache base_changes
+               Query.Delta.eval_plan ~state ~pre:st.base_cache base_changes
                  plan ))
            st.aux_plans)
     in
     (* Level 2: the primary view's delta over the materialized
        auxiliaries. *)
     let delta =
-      Query.Delta.eval_plan ~groups:st.over_aux_groups ~pre:st.aux_cache
+      Query.Delta.eval_plan ~state:st.over_aux_state ~pre:st.aux_cache
         aux_changes st.over_aux_plan
     in
     st.base_cache <- Database.apply_relevant st.base_cache txn;
@@ -85,7 +85,7 @@ let create ~engine ~compute_latency ~initial ~aux ~view ~over_aux ~emit () =
           Query.Compiled.compile ~lookup:(Database.schema base_cache)
             a.Query.View.def
         in
-        (Query.View.name a, plan, Query.Compiled.groups base_cache plan))
+        (Query.View.name a, plan, Query.Compiled.state base_cache plan))
       aux
   in
   let over_aux_plan =
@@ -93,7 +93,7 @@ let create ~engine ~compute_latency ~initial ~aux ~view ~over_aux ~emit () =
   in
   let st =
     { engine; compute_latency; aux; aux_plans; view; over_aux_plan;
-      over_aux_groups = Query.Compiled.groups aux_cache over_aux_plan; emit;
+      over_aux_state = Query.Compiled.state aux_cache over_aux_plan; emit;
       queue = Queue.create (); base_cache; aux_cache; busy = false }
   in
   { Vm.view; level = Vm.Complete;

@@ -591,7 +591,7 @@ let run_sequential cfg =
     setup_serving engine ~rng ~sample ~metrics ~store ~views ~log:ignore cfg
   in
   (* Without shared plans, each view is compiled once and keeps its
-     aggregate state, advanced with [cache]. *)
+     plan state, advanced with [cache]. *)
   let plans =
     match shared with
     | Some _ -> []
@@ -603,7 +603,7 @@ let run_sequential cfg =
               v.Query.View.def
           in
           ( Query.View.name v,
-            (plan, Query.Compiled.groups ~exec initial_db plan) ))
+            (plan, Query.Compiled.state ~exec initial_db plan) ))
         views
   in
   let arrival_times = Hashtbl.create 64 in
@@ -650,9 +650,9 @@ let run_sequential cfg =
         | None ->
           Parallel.Exec.map exec
             (fun v ->
-              let plan, groups = List.assoc (Query.View.name v) plans in
+              let plan, state = List.assoc (Query.View.name v) plans in
               let delta =
-                Query.Delta.eval_plan ~exec ~groups ~pre changes plan
+                Query.Delta.eval_plan ~exec ~state ~pre changes plan
               in
               Query.Action_list.delta ~view:(Query.View.name v)
                 ~state:txn.Update.Transaction.id delta)
@@ -1810,10 +1810,10 @@ let run_pipelined cfg =
                      | None -> (Selfmaint.Plan.initial_cache plan, 0)
                    in
                    let cache = ref start_cache in
-                   (* The aggregate state is seeded from the cache when
-                      the first replayed delta forces it. *)
-                   let groups =
-                     lazy (Selfmaint.Plan.groups ~exec plan !cache)
+                   (* The plan state is seeded from the cache when the
+                      first replayed delta forces it. *)
+                   let state =
+                     lazy (Selfmaint.Plan.state ~exec plan !cache)
                    in
                    let replayed = ref [] in
                    List.iter
@@ -1826,7 +1826,7 @@ let run_pipelined cfg =
                          if txn.Update.Transaction.id > w then begin
                            let delta =
                              Selfmaint.Plan.delta ~exec
-                               ~groups:(Lazy.force groups) plan ~pre:!cache
+                               ~state:(Lazy.force state) plan ~pre:!cache
                                changes
                            in
                            replayed :=
@@ -1851,8 +1851,8 @@ let run_pipelined cfg =
                        view.Query.View.def
                    in
                    let cache = ref base in
-                   let groups =
-                     lazy (Query.Compiled.groups ~exec !cache vplan)
+                   let state =
+                     lazy (Query.Compiled.state ~exec !cache vplan)
                    in
                    let replayed = ref [] in
                    List.iter
@@ -1861,7 +1861,7 @@ let run_pipelined cfg =
                        if txn.Update.Transaction.id > w then begin
                          let delta =
                            Query.Delta.eval_plan ~exec
-                             ~groups:(Lazy.force groups) ~pre:!cache changes
+                             ~state:(Lazy.force state) ~pre:!cache changes
                              vplan
                          in
                          let al =

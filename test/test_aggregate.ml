@@ -100,7 +100,7 @@ let maintained_matches_oracle seed =
   let db0 = initial_db rng in
   let _, expr = List.nth maintained_views (seed mod 3) in
   let plan = Compiled.compile ~lookup:(Database.schema db0) expr in
-  let groups = Compiled.groups db0 plan in
+  let state = Compiled.state db0 plan in
   let rec loop db step =
     step > 8
     ||
@@ -114,10 +114,10 @@ let maintained_matches_oracle seed =
     let changes = Delta.of_transactions txns in
     let oracle = Delta.eval ~naive:true ~pre:db changes expr in
     let stateless = Delta.eval_plan ~pre:db changes plan in
-    let maintained = Delta.eval_plan ~groups ~pre:db changes plan in
+    let maintained = Delta.eval_plan ~state ~pre:db changes plan in
     Signed_bag.equal maintained oracle
     && Signed_bag.equal stateless oracle
-    && Compiled.groups_equal groups (Compiled.groups post plan)
+    && Compiled.state_equal state (Compiled.state post plan)
     && loop post (step + 1)
   in
   loop db0 1

@@ -229,7 +229,23 @@ let index_tests =
             && Signed_bag.equal
                  (Signed_bag.of_list (Bag_index.find_matching idx tup))
                  (Signed_bag.of_list (Bag_index.find_matching rebuilt tup)))
-          post true) ]
+          post true);
+    case "apply_signed grows an index past its slot table" (fun () ->
+        (* Distinct keys arriving one delta at a time force the slot table
+           to rehash mid-insert; every chain must stay acyclic. *)
+        let idx = Bag_index.of_bag ~key_pos:[| 0 |] Bag.empty in
+        let rows = List.init 40 (fun k -> Tuple.ints [ k; k * 2 ]) in
+        List.iter
+          (fun tup -> Bag_index.apply_signed idx (Signed_bag.singleton tup 1))
+          rows;
+        List.iter
+          (fun tup ->
+            Alcotest.(check int) "one match" 1
+              (List.length (Bag_index.find_matching idx tup)))
+          rows;
+        Alcotest.(check bool) "equals a rebuild" true
+          (Bag_index.equal idx
+             (Bag_index.of_bag ~key_pos:[| 0 |] (Bag.of_list rows)))) ]
 
 let tests =
   intern_tests @ chunk_tests @ sharing_tests @ empty_delta_tests @ index_tests
