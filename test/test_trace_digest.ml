@@ -15,7 +15,12 @@
    Group_by) under complete, batching, complete-2, convergent, derived
    and self-maintaining managers. Those digests were recorded while every
    join delta still re-evaluated its pre-state sides, so they pin the
-   maintained join-side indexes to byte-identical traces. *)
+   maintained join-side indexes to byte-identical traces.
+
+   A third set pins distributed (tenant-sharded) runs at 1, 2 and 4
+   shards, complete and self-maintaining managers, with reliability off
+   and with lossy links under the ARQ layer: each shard's committed
+   history plus every served union read. *)
 
 open Relational
 
@@ -182,6 +187,101 @@ let chain_tests =
              Alcotest.(check string) "digest" expected (digest r)))
        chain_pinned
 
+(* ---- distributed warehouse ---- *)
+
+(* A Dist run digests every shard's committed history (commit time,
+   warehouse transaction, state vector after it) followed by every
+   served union read: its session, legs, cut vector and the bag it
+   returned. The digests were recorded while every union read
+   re-stitched its legs at the cut, so they pin the maintained unions
+   to byte-identical reads. *)
+let dist_digest (r : Dist.System.result) =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.pp_set_margin ppf 10_000;
+  List.iter
+    (fun (sh : Dist.System.shard_result) ->
+      Format.fprintf ppf "shard %d@\n" sh.sh_id;
+      List.iter
+        (fun (c : Warehouse.Store.commit) ->
+          Format.fprintf ppf "%h|%a|" c.time Warehouse.Wt.pp c.transaction;
+          List.iter
+            (fun name ->
+              Format.fprintf ppf "%s=%a;" name Bag.pp
+                (Relation.contents (Database.find c.state name)))
+            (Database.names c.state);
+          Format.fprintf ppf "@\n")
+        (Warehouse.Store.commits sh.sh_store))
+    r.shards;
+  List.iter
+    (fun (cr : Consistency.Checker.cut_read) ->
+      Format.fprintf ppf "read %d|" cr.cr_session;
+      List.iter (fun (s, leg) -> Format.fprintf ppf "%d:%s," s leg) cr.cr_legs;
+      Format.fprintf ppf "|";
+      List.iter (fun (s, v) -> Format.fprintf ppf "%d@%d," s v) cr.cr_vector;
+      Format.fprintf ppf "|%a@\n" Bag.pp cr.cr_result)
+    r.reads;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let tenants =
+  Workload.Tenants.generate
+    { Workload.Tenants.default with
+      tenants = 6; n_transactions = 40; skew = 1.0; seed = 7 }
+
+(* Lossy integ->shard and manager->merge links under the ARQ layer. *)
+let dist_faults shards =
+  Workload.Fault_plan.union
+    (Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1 "integ->shard*"
+    :: List.init shards (fun s ->
+           Workload.Fault_plan.random ~drop:0.15
+             (Printf.sprintf "*->merge%d" s)))
+
+let dist_run ~shards ~selfmaint ~acked =
+  let base = Dist.System.default ~shards tenants in
+  let cfg =
+    { base with selfmaint; union_reads = 12; read_sessions = 3; seed = 11 }
+  in
+  Dist.System.run
+    (if acked then
+       { cfg with
+         fault_plan = dist_faults shards;
+         reliability = Whips.System.Acked Sim.Reliable.default_params }
+     else cfg)
+
+(* (shards, manager, reliability) -> digest, recorded while every union
+   read stitched its legs. *)
+let dist_pinned =
+  [ (1, "complete", "off", "47d15984d9ccfcc25b5c63dfd05f1128");
+    (1, "complete", "acked", "d493bffef45ae410308891b063ee91dc");
+    (1, "selfmaint", "off", "47d15984d9ccfcc25b5c63dfd05f1128");
+    (1, "selfmaint", "acked", "d493bffef45ae410308891b063ee91dc");
+    (2, "complete", "off", "2fb957b31648932a70c7631f8a71a882");
+    (2, "complete", "acked", "80531eb93ecfd9e6931b79894f09cd06");
+    (2, "selfmaint", "off", "2fb957b31648932a70c7631f8a71a882");
+    (2, "selfmaint", "acked", "80531eb93ecfd9e6931b79894f09cd06");
+    (4, "complete", "off", "f4cc1c49cad9fd44b574d5a9f8999247");
+    (4, "complete", "acked", "a167961b000313e3d7de38e571694043");
+    (4, "selfmaint", "off", "f4cc1c49cad9fd44b574d5a9f8999247");
+    (4, "selfmaint", "acked", "a167961b000313e3d7de38e571694043") ]
+
+let dist_tests =
+  List.map
+    (fun (shards, vm, rel, expected) ->
+      Helpers.case
+        (Printf.sprintf "dist %d shards %s %s reproduces its pinned digest"
+           shards vm rel)
+        (fun () ->
+          let r =
+            dist_run ~shards ~selfmaint:(vm = "selfmaint") ~acked:(rel = "acked")
+          in
+          Alcotest.(check bool) "drained" false r.stuck;
+          if rel = "acked" then
+            Alcotest.(check bool) "faults fired" true
+              (Atomic.get r.metrics.Whips.Metrics.msgs_dropped > 0);
+          Alcotest.(check string) "digest" expected (dist_digest r)))
+    dist_pinned
+
 let tests =
   Helpers.case "generated workload carries several Group_by views" (fun () ->
       Alcotest.(check bool) ">= 2 aggregate views" true
@@ -196,3 +296,4 @@ let tests =
              Alcotest.(check string) "digest" expected (digest r)))
        pinned
   @ chain_tests
+  @ dist_tests
