@@ -30,6 +30,11 @@ dune build @selfmaint-smoke
 # per-message merging on every paper scenario (1 and 4 domains); every
 # fused run must pass certify_fused and stay strongly consistent.
 dune build @merge-smoke
+# Wall-clock benchmark sanity: every workload run tiny, traced and
+# untraced, with its verification (the distributed certificate's
+# cut_exact re-stitch included); fails on a missing metric or a failed
+# operation.
+python3 perfbench/run.py --self-check
 # Fold every BENCH_*.json headline into BENCH_summary.json, append this
 # run to BENCH_history.jsonl, and fail if the kernel headline regressed
 # more than 1.5x against the last recorded run of the same kernel.

@@ -42,7 +42,7 @@ let make_server engine ~latency =
 let create ~engine ~id ~views ~initial ~compute_latency ~merge_latency
     ~commit_latency ~durable ?(selfmaint = false) ~al_link
     ?(on_merge_event = fun ~held:_ ~live:_ -> ())
-    ?(on_commit = fun _ -> ()) () =
+    ?(on_commit = fun ~pre:_ ~post:_ _ -> ()) () =
   let names = List.map Query.View.name views in
   let store =
     Warehouse.Store.create
@@ -70,12 +70,15 @@ let create ~engine ~id ~views ~initial ~compute_latency ~merge_latency
           Durable.Wal.sync w;
           incr wal_records)
       ~on_commit:(fun wt ->
+        (* Every commit publishes, so the latest version is the
+           pre-commit state. *)
+        let pre = (Serve.Version_manager.latest versions).state
+        and post = Warehouse.Store.snapshot store in
         ignore
           (Serve.Version_manager.publish versions
              ~time:(Sim.Engine.now engine)
-             ~changed:(Warehouse.Wt.views wt)
-             (Warehouse.Store.snapshot store));
-        on_commit wt)
+             ~changed:(Warehouse.Wt.views wt) post);
+        on_commit ~pre ~post wt)
       ()
   in
   let drain_emitted () =

@@ -31,7 +31,11 @@ val create :
     deliver:(Query.Action_list.t -> unit) ->
     Query.Action_list.t -> unit) ->
   ?on_merge_event:(held:int -> live:int -> unit) ->
-  ?on_commit:(Warehouse.Wt.t -> unit) ->
+  ?on_commit:
+    (pre:Relational.Database.t ->
+    post:Relational.Database.t ->
+    Warehouse.Wt.t ->
+    unit) ->
   unit ->
   t
 (** [initial] is the full source state [ss_0] (managers cache the base
@@ -44,8 +48,9 @@ val create :
     end invokes [deliver] — the system assembly supplies it so every
     manager->merge hop is a named, fault-injectable simulator link.
     [on_merge_event] fires after each merge-server event with the
-    merge's held-list and live-VUT-row gauges; [on_commit] fires after a
-    commit is applied and its version published. *)
+    merge's held-list and live-VUT-row gauges; [on_commit ~pre ~post]
+    fires after a commit took the store from state [pre] to [post] and
+    [post] was published, in the same simulated event. *)
 
 val id : t -> int
 

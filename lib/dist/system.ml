@@ -37,6 +37,7 @@ type result = {
   transactions : Update.Transaction.t list;
   shards : shard_result list;
   unions : Union_view.t list;
+  maintained : Union_view.maintained list;
   reads : Consistency.Checker.cut_read list;
   metrics : Whips.Metrics.t;
   stuck : bool;
@@ -101,6 +102,15 @@ let run (cfg : config) =
       link_stats := (fun () -> Sim.Reliable.stats rl) :: !link_stats;
       { send = (fun m -> Sim.Reliable.send rl m) }
   in
+  let unions =
+    List.map
+      (fun (name, legs) ->
+        Union_view.make ~name ~assignment:(Router.assignment router) legs)
+      cfg.workload.Workload.Tenants.unions
+  in
+  (* The unions' maintained contents, seeded once the shards' initial
+     stores exist and advanced in each shard's commit event. *)
+  let live_unions = ref [] in
   (* Shards, each with fault-injectable manager->merge links. *)
   let shards_arr =
     Array.init cfg.shards (fun s ->
@@ -119,8 +129,19 @@ let run (cfg : config) =
               (float_of_int held);
             Sim.Stats.Summary.add metrics.Whips.Metrics.merge_live_rows
               (float_of_int live))
+          ~on_commit:(fun ~pre ~post wt ->
+            List.iter
+              (fun m -> Union_view.commit m ~shard:s ~pre ~post wt)
+              !live_unions)
           ())
   in
+  let maintained =
+    List.map
+      (Union_view.maintain ~state_of:(fun s ->
+           Warehouse.Store.snapshot (Shard.store shards_arr.(s))))
+      unions
+  in
+  live_unions := maintained;
   let arrival_times : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let shard_links =
     Array.to_list
@@ -147,20 +168,18 @@ let run (cfg : config) =
       (Array.to_list
          (Array.mapi (fun s sh -> (s, Shard.versions sh)) shards_arr))
   in
-  let unions =
-    List.map
-      (fun (name, legs) ->
-        Union_view.make ~name ~assignment:(Router.assignment router) legs)
-      cfg.workload.Workload.Tenants.unions
-  in
   let reads_rev : Consistency.Checker.cut_read list ref = ref [] in
   let read_counter = ref 0 in
-  let serve_union u =
+  (* A read pins the latest version of every shard holding a leg; the
+     maintained contents reflect exactly the commits those versions
+     published. *)
+  let serve_union m =
+    let u = Union_view.union m in
     let session = !read_counter mod cfg.read_sessions in
     incr read_counter;
     let t0 = Sim.Engine.now engine in
     let cut = Global_cut.acquire cut_mgr ~shards:(Union_view.shards u) in
-    let result = Union_view.stitch u ~state_of:(Global_cut.state_of cut) in
+    let result = Union_view.contents m in
     reads_rev :=
       { Consistency.Checker.cr_session = session;
         cr_legs = u.Union_view.legs;
@@ -197,12 +216,12 @@ let run (cfg : config) =
           Atomic.incr metrics.Whips.Metrics.transactions;
           integrator_link.send txn))
     scenario.Workload.Scenarios.script;
-  if cfg.union_reads > 0 && unions <> [] then begin
+  if cfg.union_reads > 0 && maintained <> [] then begin
     let n = cfg.union_reads in
     for i = 1 to n do
       let at = !horizon *. float_of_int i /. float_of_int (n + 1) in
-      let u = List.nth unions ((i - 1) mod List.length unions) in
-      Sim.Engine.schedule_at engine at (fun () -> serve_union u)
+      let m = List.nth maintained ((i - 1) mod List.length maintained) in
+      Sim.Engine.schedule_at engine at (fun () -> serve_union m)
     done
   end;
   (* Drain: run, flush, re-run until every link is quiescent and every
@@ -220,7 +239,7 @@ let run (cfg : config) =
   let ok = drain 1000 in
   (* Final reads: one per union view, against the drained warehouse —
      the deterministic record the smoke equivalence asserts on. *)
-  List.iter serve_union unions;
+  List.iter serve_union maintained;
   Sim.Engine.run engine;
   metrics.Whips.Metrics.completed_at <- Sim.Engine.now engine;
   (* Commit + staleness accounting from the recorded histories. *)
@@ -268,7 +287,7 @@ let run (cfg : config) =
                sh_commits = Warehouse.Store.commit_count (Shard.store sh);
                sh_wal_appends = Shard.wal_appends sh })
            shards_arr);
-    unions; reads = List.rev !reads_rev; metrics; stuck = not ok }
+    unions; maintained; reads = List.rev !reads_rev; metrics; stuck = not ok }
 
 let shard_verdicts r =
   let source_states = Source.Sources.states r.sources in

@@ -5,11 +5,12 @@
     it touches, over per-shard fault-injectable links; each {!Shard}
     runs its own complete MVC pipeline (view managers, SPA merge, VUT,
     store, submitter, serving layer, optional WAL). Cross-shard
-    {!Union_view}s are served by stitching per-shard legs at a
-    {!Global_cut} version vector; every served union read is recorded as
-    a {!Consistency.Checker.cut_read} so the run's distributed
-    certificate can be re-checked after the fact, and the existing SPA
-    consistency ladder is applied to each shard's own commit history. *)
+    {!Union_view}s are maintained at every shard commit and served at a
+    {!Global_cut} pinning each leg shard's latest version; every served
+    union read is recorded as a {!Consistency.Checker.cut_read} so the
+    run's distributed certificate can re-stitch it after the fact, and
+    the existing SPA consistency ladder is applied to each shard's own
+    commit history. *)
 
 type config = {
   workload : Workload.Tenants.t;
@@ -67,6 +68,10 @@ type result = {
   transactions : Relational.Update.Transaction.t list;
   shards : shard_result list;
   unions : Union_view.t list;
+  maintained : Union_view.maintained list;
+      (** Each union's contents as maintained across the run's shard
+          commits, in [unions] order — what every read was served
+          from. *)
   reads : Consistency.Checker.cut_read list;
       (** Every served union read (mid-run + final), completion order. *)
   metrics : Whips.Metrics.t;
@@ -88,7 +93,8 @@ val certificate : result -> Consistency.Checker.distributed_certificate
 
 val union_contents : result -> string -> Relational.Bag.t
 (** Final stitched contents of a union view (legs read from the final
-    shard stores). @raise Not_found on an unknown union name. *)
+    shard stores) — the oracle for its maintained contents.
+    @raise Not_found on an unknown union name. *)
 
 val merge_events_per_update : result -> float
 (** Mean merge-server messages per source transaction per non-empty

@@ -16,3 +16,30 @@ let stitch t ~state_of =
     (fun acc (s, leg) ->
       Bag.union acc (Relation.contents (Database.find (state_of s) leg)))
     Bag.empty t.legs
+
+type maintained = { union : t; mutable contents : Bag.t }
+
+let maintain t ~state_of = { union = t; contents = stitch t ~state_of }
+
+let union m = m.union
+
+let contents m = m.contents
+
+(* The contents are the sum of the legs, so removing a leg's deletions
+   never clamps: [Signed_bag.apply] is exact here. *)
+let commit m ~shard ~pre ~post wt =
+  List.iter
+    (fun view ->
+      let copies =
+        List.length (List.filter (( = ) (shard, view)) m.union.legs)
+      in
+      if copies > 0 then begin
+        let leg db = Relation.contents (Database.find db view) in
+        let d =
+          Warehouse.Wt.view_delta wt ~view ~before:(leg pre) ~after:(leg post)
+        in
+        for _ = 1 to copies do
+          m.contents <- Signed_bag.apply d m.contents
+        done
+      end)
+    (Warehouse.Wt.views wt)

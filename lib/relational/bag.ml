@@ -65,7 +65,11 @@ let fold f t init = Tuple_map.fold f t.map init
 
 let iter f t = Tuple_map.iter f t.map
 
-let union a b = Tuple_map.fold (fun tup n acc -> add ~count:n tup acc) b.map a
+(* One structural merge of the two trees instead of an insert per tuple;
+   both maps hold only positive counts, so every sum stays positive. *)
+let union a b =
+  { map = Tuple_map.union (fun _ m n -> Some (m + n)) a.map b.map;
+    card = a.card + b.card }
 
 let diff a b =
   Tuple_map.fold (fun tup n acc -> remove ~count:n tup acc) b.map a

@@ -116,21 +116,6 @@ let store t ~version ~support expr result =
     Expr_tbl.replace t.entries expr { result; computed_at = version; support };
     Queue.push expr t.insertion_order
 
-module Tuple_set = Set.Make (Tuple)
-
-(* The tuples [wt]'s delta action lists touch on [view]; [None] when a
-   refresh list may have changed any tuple of it. *)
-let touched_tuples (wt : Warehouse.Wt.t) view =
-  List.fold_left
-    (fun acc (al : Query.Action_list.t) ->
-      match (acc, al.payload) with
-      | None, _ -> None
-      | Some _, _ when al.view <> view -> acc
-      | Some _, Query.Action_list.Refresh _ -> None
-      | Some set, Query.Action_list.Delta d ->
-        Some (Signed_bag.fold (fun tup _ set -> Tuple_set.add tup set) d set))
-    (Some Tuple_set.empty) wt.actions
-
 (* Incremental refresh on commit. An entry valid at the pre-commit
    version [version - 1] whose support intersects [changed] would be
    invalidated by the change notes; instead, when the commit's view
@@ -150,16 +135,9 @@ let commit ?wt t ~version ~changed ~pre ~post =
     | None ->
       let before = Relation.contents (Database.find pre view)
       and after = Relation.contents (Database.find post view) in
-      (* Only a tuple some action list touched can change count, so the
-         after - before counts of the touched tuples are the whole
-         delta. *)
       let d =
-        match Option.bind wt (fun wt -> touched_tuples wt view) with
-        | Some tuples ->
-          Tuple_set.fold
-            (fun tup d ->
-              Signed_bag.add tup (Bag.count after tup - Bag.count before tup) d)
-            tuples Signed_bag.zero
+        match wt with
+        | Some wt -> Warehouse.Wt.view_delta wt ~view ~before ~after
         | None -> Signed_bag.diff_of_bags ~before ~after
       in
       Hashtbl.add delta_cache view d;

@@ -105,7 +105,9 @@ let apply t ?(time = 0.0) (wt : Wt.t) =
    produced: views untouched by a transaction share their relation (and
    its memoized chunks/indexes) by pointer, and summing is guarded by
    {!Signed_bag.coalesce} so a sum that clamping could make unfaithful
-   falls back to sequential application of that group. *)
+   falls back to sequential application of that group. No chunk is
+   encoded here: [Relation.columnar] encodes lazily, once per relation
+   record, for the first reader that scans it. *)
 
 type run_plan = {
   planned : (Wt.t * Database.t) list;
@@ -203,10 +205,7 @@ let plan_run ?(run_tasks = List.iter (fun task -> task ())) t wts =
           (i, !rel))
         vgroups
     in
-    timelines.(v) <- timeline;
-    (* Warm the run's final chunk off the hot path: serving reads after
-       the run hit a prebuilt snapshot instead of encoding on demand. *)
-    if !Columnar.enabled then ignore (Relation.columnar !rel)
+    timelines.(v) <- timeline
   in
   run_tasks (List.init n_views (fun v () -> plan_view v));
   (* Scatter the per-view timelines back into per-transaction updates and

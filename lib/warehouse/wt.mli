@@ -36,4 +36,14 @@ val batch : t list -> t
 
 val action_count : t -> int
 
+val view_delta :
+  t -> view:string -> before:Relational.Bag.t -> after:Relational.Bag.t ->
+  Relational.Signed_bag.t
+(** The exact change a committed transaction made to [view], given the
+    view's contents [before] and [after] the commit: the after - before
+    counts of just the tuples its delta action lists on [view] touch.
+    Only a touched tuple can change count, so this stays exact even
+    where applying a delta clamped at zero. A view written by a refresh
+    action list may have changed anywhere and is diffed whole. *)
+
 val pp : Format.formatter -> t -> unit

@@ -58,6 +58,143 @@ let check_run ?(faulty = false) (r : Dist.System.result) =
     r.Dist.System.unions;
   if faulty then ()
 
+(* ---- maintained unions ---- *)
+
+let xy = Helpers.int_schema [ "x"; "y" ]
+
+(* Views a, c on shard 0 and b on shard 1. *)
+let shard_of_view = function "b" -> 1 | _ -> 0
+
+let stores () =
+  let store views =
+    Warehouse.Store.create
+      (List.map (fun (v, rows) -> (v, Helpers.rel xy rows)) views)
+  in
+  [| store [ ("a", [ [ 1; 2 ]; [ 1; 2 ]; [ 3; 4 ] ]); ("c", [ [ 3; 4 ] ]) ];
+     store [ ("b", [ [ 1; 2 ]; [ 7; 7 ] ]) ] |]
+
+let union name legs = Dist.Union_view.make ~name ~assignment:shard_of_view legs
+
+let delta view rows =
+  Query.Action_list.delta ~view ~state:1
+    (Signed_bag.of_list (List.map (fun (r, n) -> (Tuple.ints r, n)) rows))
+
+(* Commit each (shard, action lists) step to its shard's store as one WT
+   and advance every maintained union, checking each against a
+   re-stitch after every commit. Returns the final contents. *)
+let replay_unions unions steps =
+  let stores = stores () in
+  let state_of s = Warehouse.Store.snapshot stores.(s) in
+  let ms = List.map (Dist.Union_view.maintain ~state_of) unions in
+  List.iteri
+    (fun i (s, actions) ->
+      let wt = Warehouse.Wt.make ~rows:[ i + 1 ] actions in
+      let pre = state_of s in
+      Warehouse.Store.apply stores.(s) wt;
+      let post = state_of s in
+      List.iter
+        (fun m ->
+          Dist.Union_view.commit m ~shard:s ~pre ~post wt;
+          Alcotest.check Helpers.bag
+            (Printf.sprintf "%s after commit %d"
+               (Dist.Union_view.union m).Dist.Union_view.name (i + 1))
+            (Dist.Union_view.stitch (Dist.Union_view.union m) ~state_of)
+            (Dist.Union_view.contents m))
+        ms)
+    steps;
+  List.map Dist.Union_view.contents ms
+
+(* The union a read served, re-stitched from the shard states its cut
+   vector names. *)
+let restitched (r : Dist.System.result) (cr : Consistency.Checker.cut_read) =
+  let u =
+    List.find
+      (fun (u : Dist.Union_view.t) -> u.Dist.Union_view.legs = cr.cr_legs)
+      r.Dist.System.unions
+  in
+  Dist.Union_view.stitch u ~state_of:(fun s ->
+      let sh = List.nth r.Dist.System.shards s in
+      List.nth
+        (Warehouse.Store.states sh.Dist.System.sh_store)
+        (List.assoc s cr.cr_vector))
+
+let maintained_tests =
+  [ case "maintained union: refresh payload on a leg" (fun () ->
+        let final =
+          replay_unions
+            [ union "u" [ "a"; "b" ] ]
+            [ ( 0,
+                [ Query.Action_list.refresh ~view:"a" ~state:1
+                    (Helpers.bag_of [ [ 5; 6 ]; [ 3; 4 ] ]);
+                  delta "c" [ ([ 3; 4 ], -1) ] ] );
+              (1, [ delta "b" [ ([ 1; 2 ], 1) ] ]) ]
+        in
+        Alcotest.check Helpers.bag "a refreshed, b grown"
+          (Helpers.bag_of [ [ 5; 6 ]; [ 3; 4 ]; [ 1; 2 ]; [ 1; 2 ]; [ 7; 7 ] ])
+          (List.hd final));
+    case "maintained union: one leg in two unions" (fun () ->
+        let final =
+          replay_unions
+            [ union "ab" [ "a"; "b" ]; union "ac" [ "a"; "c" ];
+              union "aa" [ "a"; "a" ] ]
+            [ (0, [ delta "a" [ ([ 9; 9 ], 2); ([ 3; 4 ], -1) ] ]);
+              (0, [ delta "c" [ ([ 9; 9 ], 1) ]; delta "a" [ ([ 1; 2 ], -1) ] ]) ]
+        in
+        Alcotest.(check (list Helpers.bag)) "each union sees the leg's change"
+          [ Helpers.bag_of [ [ 1; 2 ]; [ 9; 9 ]; [ 9; 9 ]; [ 1; 2 ]; [ 7; 7 ] ];
+            Helpers.bag_of [ [ 1; 2 ]; [ 9; 9 ]; [ 9; 9 ]; [ 9; 9 ]; [ 3; 4 ] ];
+            Helpers.bag_of
+              [ [ 1; 2 ]; [ 9; 9 ]; [ 9; 9 ]; [ 1; 2 ]; [ 9; 9 ]; [ 9; 9 ] ] ]
+          final);
+    case "maintained union: tuples deleted or modified down to zero"
+      (fun () ->
+        let final =
+          replay_unions
+            [ union "u" [ "a"; "b"; "c" ] ]
+            [ (* Both copies of (1,2) on a go; b still holds one. *)
+              (0, [ delta "a" [ ([ 1; 2 ], -2) ] ]);
+              (* (7,7) modified to (7,8); the over-deletion clamps. *)
+              (1, [ delta "b" [ ([ 7; 7 ], -3); ([ 7; 8 ], 1) ] ]);
+              (* Two lists of one WT touch the same tuple. *)
+              ( 0,
+                [ delta "c" [ ([ 3; 4 ], -1) ]; delta "c" [ ([ 3; 4 ], 1) ];
+                  delta "a" [ ([ 3; 4 ], -1) ] ] ) ]
+        in
+        Alcotest.check Helpers.bag "union after the deletions"
+          (Helpers.bag_of [ [ 1; 2 ]; [ 7; 8 ]; [ 3; 4 ] ])
+          (List.hd final));
+    Helpers.qcheck ~count:12
+      "qcheck: reads serve the stitch at their cut, shards x selfmaint x faults"
+      QCheck2.Gen.(tup4 (int_range 0 1000) (int_range 1 4) bool bool)
+      (fun (seed, shards, selfmaint, faulty) ->
+        let w = workload ~tenants:5 ~n_transactions:20 ~seed () in
+        let base =
+          { (config ~shards w) with seed = seed + 1; selfmaint; union_reads = 10 }
+        in
+        let cfg =
+          if faulty then
+            { base with
+              fault_plan =
+                Workload.Fault_plan.union
+                  [ Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05
+                      "integ->shard*";
+                    Workload.Fault_plan.random ~drop:0.1 "*->merge0" ];
+              reliability = Whips.System.Acked Sim.Reliable.default_params }
+          else base
+        in
+        let r = Dist.System.run cfg in
+        (not r.Dist.System.stuck)
+        && List.for_all
+             (fun (cr : Consistency.Checker.cut_read) ->
+               Bag.equal cr.cr_result (restitched r cr))
+             r.Dist.System.reads
+        && List.for_all2
+             (fun (u : Dist.Union_view.t) m ->
+               Bag.equal
+                 (Dist.Union_view.contents m)
+                 (Dist.System.union_contents r u.Dist.Union_view.name))
+             r.Dist.System.unions r.Dist.System.maintained) ]
+
 let tests =
   [ case "router assigns by tenant mod shards" (fun () ->
         let router = Dist.Router.create ~shards:2 ~tenant_of:tenant_of_name in
@@ -286,3 +423,4 @@ let tests =
                    && Bag.equal (Dist.System.union_contents r name)
                         (expected_union r u))
                  r.Dist.System.unions)) ]
+  @ maintained_tests
